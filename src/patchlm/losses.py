@@ -1,7 +1,10 @@
 """Output heads and training losses.
 
-Text: tied-softmax cross-entropy over soft-capped logits.  Time series:
-a zero-initialized bias-free quantile head over Q levels and the masked
+Text: cross-entropy over the soft-capped logits of the tied (or untied)
+head, computed by the fused ``tensor.softcapped_cross_entropy``: rows go
+through in chunks and the gradients are formed in the forward pass
+(``model.text_logits`` is the unfused form).  Time series: a
+zero-initialized bias-free quantile head over Q levels and the masked
 pinball loss normalized by Q times the valid-target count.  The combined
 objective is the weighted sum w_text * CE + w_ts * QL.
 """
@@ -12,7 +15,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, DimensionError
-from .model import ModelConfig, text_logits
+from .model import ModelConfig, text_logits  # noqa: F401  (looked up here by bench/layers.py)
 from .tensor import Tensor
 
 DEFAULT_TEXT_WEIGHT = 1.0
@@ -41,10 +44,9 @@ def lm_loss(params: dict[str, Tensor], config: ModelConfig,
         return Tensor(np.zeros((), dtype=np.float64)), 0
     if targets.shape != (n,):
         raise DimensionError("one target id per row required")
-    logits = text_logits(params, config, rows)
-    logp = T.log_softmax(logits)
-    picked = T.gather_values(logp, targets)
-    return T.mul_const(T.tsum(picked), -1.0 / n), n
+    table = (params["tok_emb"] if config.tied_lm_head
+             else T.transpose(params["lm_head"], (1, 0)))
+    return T.softcapped_cross_entropy(rows, table, targets, config.softcap_alpha), n
 
 
 def quantile_head(params: dict[str, Tensor], config: ModelConfig, rows: Tensor) -> Tensor:

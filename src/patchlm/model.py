@@ -290,16 +290,7 @@ def attention_gqa(params: dict[str, Tensor], config: ModelConfig, layer: int,
             raise CacheError("KV cache is inference-only; wrap generation in no_grad()")
         k_full, v_full = cache.extend(layer, k.data, v.data)
         k, v = Tensor(k_full), Tensor(v_full)
-    total = k.shape[2]
-
-    group = config.n_q_heads // config.n_kv_heads
-    k_exp = T.repeat_axis(k, group, axis=1)
-    v_exp = T.repeat_axis(v, group, axis=1)
-
-    scores = T.mul_const(T.matmul(q, T.transpose(k_exp, (0, 1, 3, 2))), 1.0 / math.sqrt(hd))
-    keep = (np.arange(total)[None, :] <= (off + np.arange(S))[:, None])
-    att = T.softmax(T.masked_fill(scores, keep[None, None, :, :], -np.inf))
-    ctx = T.matmul(att, v_exp)                                   # [B, Hq, S, hd]
+    ctx = T.causal_gqa_attention(q, k, v, off)                   # [B, Hq, S, hd]
     merged = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (B * S, config.n_q_heads * hd))
     return T.reshape(T.matmul(merged, params[p + "wo"]), (B, S, d))
 

@@ -87,11 +87,6 @@ def adamw_step(param: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray
     param -= lr * m_hat / (np.sqrt(v_hat) + eps)
 
 
-def scale_lr(base_lr: float, d_model: int) -> float:
-    """sqrt(768 / d) scaling applied to the AdamW groups only."""
-    return base_lr * math.sqrt(768.0 / d_model)
-
-
 @dataclass(frozen=True)
 class Schedule:
     """Linear warmup, constant middle, linear decay over the final fraction."""

@@ -13,8 +13,6 @@ so a length-32k series stays in the low-millisecond range.
 
 from __future__ import annotations
 
-import queue
-import threading
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -372,50 +370,3 @@ def augment_batch(batch: np.ndarray, rng: np.random.Generator,
                     for row in batch])
     return mixup(out, rng)
 
-
-# -- background producer -----------------------------------------------------
-
-class SeriesStream:
-    """Bounded-queue producer generating series in a worker thread.
-
-    Items arrive in RNG order, so consumption is deterministic given the
-    seed; the thread only hides generation latency.
-    """
-
-    def __init__(self, length: int, seed: int, config: SynthConfig = SynthConfig(),
-                 queue_size: int = 64):
-        self._length = length
-        self._config = config
-        self._rng = np.random.default_rng(seed)
-        self._queue: queue.Queue = queue.Queue(maxsize=queue_size)
-        self._stop = threading.Event()
-        self._thread = threading.Thread(target=self._run, daemon=True)
-        self._thread.start()
-
-    def _run(self):
-        while not self._stop.is_set():
-            series = sample_series(self._length, self._rng, self._config)
-            while not self._stop.is_set():
-                try:
-                    self._queue.put(series, timeout=0.1)
-                    break
-                except queue.Full:
-                    continue
-
-    def get(self, timeout: float = 10.0) -> np.ndarray:
-        return self._queue.get(timeout=timeout)
-
-    def close(self):
-        self._stop.set()
-        try:
-            while True:
-                self._queue.get_nowait()
-        except queue.Empty:
-            pass
-        self._thread.join(timeout=2.0)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()

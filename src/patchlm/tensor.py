@@ -12,6 +12,16 @@ Design rules kept deliberately strict so every backward rule stays auditable:
 
 Training math runs in float32; ``grad_check`` demands float64 so the
 central-finite-difference oracle is tight.
+
+Two fused ops carry the hot paths of a train step:
+
+* ``softcapped_cross_entropy`` -- the vocab head and its mean CE, worked
+  through in row chunks so no [N, V] logit matrix enters the graph.  The
+  loss is terminal, so the forward pass also computes the row and table
+  gradients; its backward rules only scale them.
+* ``causal_gqa_attention`` -- grouped-query causal attention with the mask
+  and scale built in and no K/V copies.  Its backward reuses the saved
+  probabilities and forms dS once per ``backward()`` call.
 """
 
 from __future__ import annotations
@@ -259,13 +269,6 @@ def maximum(a: Tensor, b: Tensor) -> Tensor:
     return _make(data, [(a, lambda g: g * take_a), (b, lambda g: g * ~take_a)])
 
 
-def masked_fill(a: Tensor, keep: np.ndarray, value: float) -> Tensor:
-    """Replace entries where ``keep`` is False by ``value`` (no grad there)."""
-    keep = np.broadcast_to(keep, a.shape)
-    data = np.where(keep, a.data, a.data.dtype.type(value))
-    return _make(data, [(a, lambda g: g * keep)])
-
-
 # ---------------------------------------------------------------------
 # shape ops
 # ---------------------------------------------------------------------
@@ -307,18 +310,6 @@ def index(a: Tensor, key) -> Tensor:
         else:
             buf[key] += g
         return buf
-
-    return _make(data, [(a, bw)])
-
-
-def repeat_axis(a: Tensor, repeats: int, axis: int) -> Tensor:
-    """np.repeat along ``axis``; backward sums over each repeat group."""
-    data = np.repeat(a.data, repeats, axis=axis)
-
-    def bw(g):
-        shape = list(a.shape)
-        shape[axis:axis + 1] = [a.shape[axis], repeats]
-        return g.reshape(shape).sum(axis=axis + 1)
 
     return _make(data, [(a, bw)])
 
@@ -418,20 +409,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 # softmax family
 # ---------------------------------------------------------------------
 
-def softmax(a: Tensor) -> Tensor:
-    """Softmax over the last axis; -inf entries get exactly zero weight."""
-    x = a.data
-    m = np.max(x, axis=-1, keepdims=True)
-    m = np.where(np.isfinite(m), m, 0.0)
-    e = np.exp(x - m)
-    y = e / e.sum(axis=-1, keepdims=True)
-
-    def bw(g):
-        return y * (g - (g * y).sum(axis=-1, keepdims=True))
-
-    return _make(y, [(a, bw)])
-
-
 def log_softmax(a: Tensor) -> Tensor:
     x = a.data
     m = np.max(x, axis=-1, keepdims=True)
@@ -467,6 +444,124 @@ def rmsnorm(x: Tensor, scale: Tensor, eps: float = 1e-6) -> Tensor:
         return (g * x.data * r).reshape(-1, d).sum(axis=0)
 
     return _make(y, [(x, bw_x), (scale, bw_scale)])
+
+
+# ---------------------------------------------------------------------
+# fused ops
+# ---------------------------------------------------------------------
+
+_CE_CHUNK_LOGITS = 1 << 20   # logits per softcapped_cross_entropy chunk
+
+
+def _live(a: Tensor) -> bool:
+    return _grad_enabled and (a.requires_grad or bool(a._rules))
+
+
+def softcapped_cross_entropy(rows: Tensor, table: Tensor, targets: np.ndarray,
+                             alpha: float) -> Tensor:
+    """Mean CE of ``alpha * tanh(rows @ table.T / alpha)`` against ``targets``.
+
+    ``rows`` is [N, d] and ``table`` [V, d].  Rows go through in chunks of
+    about 2^20 logits, so no [N, V] buffer outlives its chunk.  The loss is
+    a terminal node: when a graph is built, the same pass computes d rows
+    and d table, and the backward rules only scale them by the incoming
+    gradient.  Every capped logit lies in (-alpha, alpha), so the constant
+    alpha stands in for the per-row max of the logsumexp; in float32 that
+    holds while exp(-2 alpha) does not underflow, i.e. alpha below ~40.
+    """
+    n, d = rows.shape
+    if table.ndim != 2 or table.shape[1] != d:
+        raise DimensionError(f"softcapped_cross_entropy: table {table.shape} vs rows {rows.shape}")
+    targets = np.asarray(targets, dtype=np.int64)
+    if n == 0 or targets.shape != (n,):
+        raise DimensionError("softcapped_cross_entropy needs one target id per row, N >= 1")
+    w = table.data
+    need_rows, need_table = _live(rows), _live(table)
+    d_rows = np.empty_like(rows.data) if need_rows else None
+    d_table = np.zeros_like(w) if need_table else None
+    chunk = max(1, _CE_CHUNK_LOGITS // w.shape[0])
+    total = 0.0
+    for start in range(0, n, chunk):
+        r = rows.data[start:start + chunk]
+        tgt = targets[start:start + chunk]
+        pick = np.arange(len(tgt))
+        th = (r * r.dtype.type(1.0 / alpha)) @ w.T
+        np.tanh(th, out=th)
+        e = th - 1.0
+        e *= alpha                                   # capped logit - alpha
+        total -= float(e[pick, tgt].sum(dtype=np.float64))
+        np.exp(e, out=e)
+        sumexp = e.sum(axis=1, keepdims=True)
+        total += float(np.log(sumexp).sum(dtype=np.float64))
+        if need_rows or need_table:
+            e /= sumexp                              # softmax
+            e[pick, tgt] -= 1.0                      # d CE / d capped logit
+            th *= th
+            np.subtract(1.0, th, out=th)             # d capped logit / d raw logit
+            e *= th
+            if need_rows:
+                d_rows[start:start + chunk] = e @ w
+            if need_table:
+                d_table += e.T @ r
+    inv_n = 1.0 / n
+    if need_rows:
+        d_rows *= inv_n
+    if need_table:
+        d_table *= inv_n
+    loss = np.asarray(total * inv_n, dtype=rows.data.dtype)
+    # g is 0-d; as a Python float it keeps the gradients in the rows' dtype
+    return _make(loss, [(rows, lambda g: float(g) * d_rows),
+                        (table, lambda g: float(g) * d_table)])
+
+
+def causal_gqa_attention(q: Tensor, k: Tensor, v: Tensor, offset: int) -> Tensor:
+    """Causal grouped-query attention ``softmax(q k^T / sqrt(hd) + mask) v``.
+
+    ``q`` is [B, Hq, S, hd] at positions offset..offset+S-1; ``k`` and ``v``
+    are [B, Hkv, offset+S, hd].  Query head h reads kv head h // (Hq/Hkv),
+    so q is regrouped to [B, Hkv, g*S, hd] and K/V are never copied.  The
+    causal mask and the 1/sqrt(hd) scale are applied here.  The backward
+    reuses the saved probabilities and forms dS once per ``backward()``
+    call; the q, k and v rules share it.
+    """
+    B, n_q, S, hd = q.shape
+    if k.ndim != 4 or k.shape != v.shape or k.shape[0] != B or k.shape[3] != hd:
+        raise DimensionError(f"causal_gqa_attention: q {q.shape}, k {k.shape}, v {v.shape}")
+    n_kv, total = k.shape[1], k.shape[2]
+    if n_q % n_kv != 0 or offset < 0 or offset + S != total:
+        raise DimensionError(
+            f"causal_gqa_attention: {n_q} q heads over {n_kv} kv heads, "
+            f"offset {offset} + {S} queries vs {total} keys")
+    group = n_q // n_kv
+    scale = q.data.dtype.type(1.0 / np.sqrt(hd))
+    qs = q.data.reshape(B, n_kv, group * S, hd) * scale
+    hidden = np.arange(total)[None, :] > (offset + np.arange(S))[:, None]
+    p = qs @ k.data.swapaxes(-1, -2)                          # [B, Hkv, g*S, T]
+    np.copyto(p, -np.inf, where=np.tile(hidden, (group, 1)))
+    p -= p.max(axis=-1, keepdims=True)         # key 0 is always visible: finite
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    out = p @ v.data                                          # [B, Hkv, g*S, hd]
+    shared: dict = {}
+
+    def grad(name: str, g: np.ndarray) -> np.ndarray:
+        # one dS per backward() call; each rule pops its own result once
+        if shared.get("g") is not g or name not in shared:
+            go = g.reshape(out.shape)
+            dv = p.swapaxes(-1, -2) @ go
+            ds = go @ v.data.swapaxes(-1, -2)
+            ds -= (go * out).sum(axis=-1, keepdims=True)
+            ds *= p
+            dq = (ds @ k.data) * scale
+            shared.clear()
+            shared.update(g=g, q=dq.reshape(q.shape), k=ds.swapaxes(-1, -2) @ qs, v=dv)
+        return shared.pop(name)
+
+    return _make(out.reshape(q.shape), [
+        (q, lambda g: grad("q", g)),
+        (k, lambda g: grad("k", g)),
+        (v, lambda g: grad("v", g)),
+    ])
 
 
 # ---------------------------------------------------------------------

@@ -10,8 +10,7 @@ decay exactly where stage 1 left it and keeps the optimizer state.
 Checkpoints capture params, optimizer buffers, RNG state, stream
 positions, and the step counter; save -> load -> N steps reproduces an
 uninterrupted run bit for bit.  Data generation therefore runs
-synchronously inside the loop (the background producer in `synth` exists
-for throughput, not for the training path).
+synchronously inside the loop.
 """
 
 from __future__ import annotations

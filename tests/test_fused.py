@@ -1,0 +1,242 @@
+"""Fused ops against the unfused compositions they replace.
+
+The oracles below are the generic-op chains the model used before the
+fusion: tied/untied matmul -> soft cap -> log-softmax -> gather for the
+vocab head, and repeated K/V -> scaled scores -> causal mask -> softmax ->
+weighted values for attention.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from patchlm import losses as L
+from patchlm import model as M
+from patchlm import tensor as T
+from patchlm.errors import DimensionError
+from patchlm.tensor import Tensor
+
+
+def t64(arr, grad=True):
+    return Tensor(np.asarray(arr, dtype=np.float64), requires_grad=grad)
+
+
+def ce_oracle(rows, table, targets, alpha):
+    logits = T.matmul(rows, T.transpose(table, (1, 0)))
+    capped = M.soft_cap(logits, alpha)
+    picked = T.gather_values(T.log_softmax(capped), targets)
+    return T.mul_const(T.tsum(picked), -1.0 / len(targets))
+
+
+def attention_oracle(q, k, v, offset):
+    _, n_q, S, hd = q.shape
+    n_kv, total = k.shape[1], k.shape[2]
+    heads = np.repeat(np.arange(n_kv), n_q // n_kv)       # K/V copied per query head
+    k_exp = T.index(k, (slice(None), heads))
+    v_exp = T.index(v, (slice(None), heads))
+    scores = T.mul_const(T.matmul(q, T.transpose(k_exp, (0, 1, 3, 2))), 1.0 / math.sqrt(hd))
+    hidden = np.arange(total)[None, :] > (offset + np.arange(S))[:, None]
+    masked = T.add_const(scores, np.where(hidden, -np.inf, 0.0))
+    att = T.texp(T.log_softmax(masked))
+    return T.matmul(att, v_exp)
+
+
+def leaf_grads(loss, leaves):
+    for x in leaves:
+        x.grad = None
+    loss.backward()
+    return [x.grad.copy() for x in leaves]
+
+
+def assert_fd(make_loss, params, tol=1e-4):
+    report = T.grad_check(make_loss, params, tol=tol, samples_per_param=6,
+                          rng=np.random.default_rng(0))
+    assert report.passed, f"{report.worst_param}: rel err {report.max_rel_err:.3g}"
+
+
+# ---------------------------------------------------------------------
+# softcapped_cross_entropy
+# ---------------------------------------------------------------------
+
+VOCAB = 4096
+CHUNK = T._CE_CHUNK_LOGITS // VOCAB
+
+
+def ce_case(n, seed, repeated=False, d=8):
+    rng = np.random.default_rng(seed)
+    rows = t64(rng.normal(size=(n, d)))
+    table = t64(rng.normal(size=(VOCAB, d)) * 2.0)
+    targets = (np.full(n, 7) if repeated else rng.integers(0, VOCAB, n))
+    return rows, table, targets
+
+
+@pytest.mark.parametrize("n,repeated", [(CHUNK - 5, False), (CHUNK, False),
+                                        (2 * CHUNK + 3, False), (CHUNK + 9, True)])
+def test_ce_matches_oracle_around_chunk_boundaries(n, repeated):
+    rows, table, targets = ce_case(n, seed=n, repeated=repeated)
+    fused = T.softcapped_cross_entropy(rows, table, targets, 15.0)
+    oracle = ce_oracle(rows, table, targets, 15.0)
+    assert abs(fused.item() - oracle.item()) <= 1e-12
+    got = leaf_grads(fused, [rows, table])
+    want = leaf_grads(oracle, [rows, table])
+    for a, b in zip(got, want):
+        assert np.abs(a - b).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n,repeated", [(CHUNK - 5, False), (2 * CHUNK + 3, False),
+                                        (CHUNK + 9, True)])
+def test_ce_grad_check(n, repeated):
+    rows, table, targets = ce_case(n, seed=n + 1, repeated=repeated)
+    assert_fd(lambda: T.softcapped_cross_entropy(rows, table, targets, 15.0),
+              [("rows", rows), ("table", table)])
+
+
+@pytest.mark.parametrize("tied", [True, False])
+def test_lm_loss_matches_text_logits_chain(tied):
+    cfg = M.ModelConfig(n_layers=1, d_model=8, n_q_heads=2, n_kv_heads=1, head_dim=4,
+                        patch_len=2, n_quantiles=3, vocab_size=300, max_seq=16,
+                        tied_lm_head=tied)
+    params = M.init_params(cfg, seed=4, dtype=np.float64)
+    rng = np.random.default_rng(5)
+    head = "tok_emb" if tied else "lm_head"
+    params[head].data[:] = rng.normal(0, 1.5, size=params[head].shape)
+    rows = t64(rng.normal(size=(23, cfg.d_model)))
+    targets = rng.integers(0, cfg.vocab_size, 23)
+
+    def oracle():
+        logp = T.log_softmax(M.text_logits(params, cfg, rows))
+        return T.mul_const(T.tsum(T.gather_values(logp, targets)), -1.0 / len(targets))
+
+    fused, n = L.lm_loss(params, cfg, rows, targets)
+    assert n == 23
+    want = oracle()
+    assert abs(fused.item() - want.item()) <= 1e-12
+    leaves = [rows, params[head]]
+    for a, b in zip(leaf_grads(fused, leaves), leaf_grads(want, leaves)):
+        assert np.abs(a - b).max() <= 1e-12
+    assert_fd(lambda: L.lm_loss(params, cfg, rows, targets)[0],
+              [("rows", rows), (head, params[head])])
+
+
+def test_ce_float32_close_to_oracle():
+    rows, table, targets = ce_case(CHUNK + 40, seed=6)
+    rows32 = Tensor(rows.data.astype(np.float32), requires_grad=True)
+    table32 = Tensor(table.data.astype(np.float32), requires_grad=True)
+    fused = T.softcapped_cross_entropy(rows32, table32, targets, 15.0)
+    assert fused.data.dtype == np.float32
+    assert fused.item() == pytest.approx(ce_oracle(rows, table, targets, 15.0).item(), rel=1e-5)
+
+
+def test_ce_backward_twice_accumulates_exactly_double():
+    rows, table, targets = ce_case(CHUNK + 2, seed=7)
+    loss = T.softcapped_cross_entropy(rows, table, targets, 15.0)
+    loss.backward()
+    once = rows.grad.copy(), table.grad.copy()
+    loss.backward()
+    assert np.array_equal(rows.grad, 2.0 * once[0])
+    assert np.array_equal(table.grad, 2.0 * once[1])
+
+
+def test_ce_no_grad_builds_no_graph():
+    rows, table, targets = ce_case(10, seed=8)
+    with T.no_grad():
+        loss = T.softcapped_cross_entropy(rows, table, targets, 15.0)
+    assert not loss.requires_grad and loss._rules == ()
+    assert loss.item() == pytest.approx(ce_oracle(rows, table, targets, 15.0).item(), abs=1e-12)
+
+
+def test_ce_rejects_bad_shapes():
+    rows, table, targets = ce_case(4, seed=9)
+    with pytest.raises(DimensionError):
+        T.softcapped_cross_entropy(rows, table, targets[:3], 15.0)
+    with pytest.raises(DimensionError):
+        T.softcapped_cross_entropy(rows, T.transpose(table, (1, 0)), targets, 15.0)
+
+
+# ---------------------------------------------------------------------
+# causal_gqa_attention
+# ---------------------------------------------------------------------
+
+def attn_case(seed, S, offset, B=2, n_q=4, n_kv=2, hd=4):
+    rng = np.random.default_rng(seed)
+    q = t64(rng.normal(size=(B, n_q, S, hd)))
+    k = t64(rng.normal(size=(B, n_kv, offset + S, hd)))
+    v = t64(rng.normal(size=(B, n_kv, offset + S, hd)))
+    probe = Tensor(rng.normal(size=(B, n_q, S, hd)))
+    return q, k, v, probe
+
+
+ATTN_CASES = [(5, 0), (1, 6), (3, 4)]   # (S, offset): training, decode, chunked prefill
+
+
+@pytest.mark.parametrize("S,offset", ATTN_CASES)
+def test_attention_matches_oracle(S, offset):
+    q, k, v, probe = attn_case(11, S, offset)
+    fused = T.causal_gqa_attention(q, k, v, offset)
+    oracle = attention_oracle(q, k, v, offset)
+    assert np.abs(fused.data - oracle.data).max() <= 1e-12
+    leaves = [q, k, v]
+    got = leaf_grads(T.tsum(T.mul(fused, probe)), leaves)
+    want = leaf_grads(T.tsum(T.mul(oracle, probe)), leaves)
+    for a, b in zip(got, want):
+        assert np.abs(a - b).max() <= 1e-12
+
+
+@pytest.mark.parametrize("S,offset", ATTN_CASES)
+def test_attention_grad_check(S, offset):
+    q, k, v, probe = attn_case(12, S, offset)
+    assert_fd(lambda: T.tsum(T.mul(T.causal_gqa_attention(q, k, v, offset), probe)),
+              [("q", q), ("k", k), ("v", v)])
+
+
+def test_attention_masks_future_keys():
+    # later keys get exactly zero weight, and the weights of each row sum to 1
+    q, k, v, _ = attn_case(13, 4, 0)
+    base = T.causal_gqa_attention(q, k, v, 0).data
+    k2, v2 = k.data.copy(), v.data.copy()
+    k2[:, :, 2:] = 50.0
+    v2[:, :, 2:] = -7.0
+    bumped = T.causal_gqa_attention(q, Tensor(k2), Tensor(v2), 0).data
+    assert bumped[:, :, :2].tobytes() == base[:, :, :2].tobytes()
+    ones = T.causal_gqa_attention(q, k, Tensor(np.ones(v.shape)), 0).data
+    assert np.allclose(ones, 1.0, atol=1e-12)
+
+
+def test_attention_second_backward_sees_fresh_gradient():
+    q, k, v, probe = attn_case(14, 3, 2)
+    other = Tensor(np.random.default_rng(15).normal(size=probe.shape))
+    out = T.causal_gqa_attention(q, k, v, 2)
+    first = leaf_grads(T.tsum(T.mul(out, probe)), [q, k, v])
+    second = leaf_grads(T.tsum(T.mul(out, other)), [q, k, v])
+    oracle = attention_oracle(q, k, v, 2)
+    want = leaf_grads(T.tsum(T.mul(oracle, other)), [q, k, v])
+    for a, b, c in zip(second, want, first):
+        assert np.abs(a - b).max() <= 1e-12
+        assert not np.allclose(a, c)
+
+
+def test_attention_backward_twice_accumulates_exactly_double():
+    q, k, v, probe = attn_case(16, 4, 0)
+    loss = T.tsum(T.mul(T.causal_gqa_attention(q, k, v, 0), probe))
+    loss.backward()
+    once = [x.grad.copy() for x in (q, k, v)]
+    loss.backward()
+    for x, g in zip((q, k, v), once):
+        assert np.array_equal(x.grad, 2.0 * g)
+
+
+def test_attention_no_grad_builds_no_graph():
+    q, k, v, _ = attn_case(17, 2, 3)
+    with T.no_grad():
+        out = T.causal_gqa_attention(q, k, v, 3)
+    assert not out.requires_grad and out._rules == ()
+    assert np.abs(out.data - attention_oracle(q, k, v, 3).data).max() <= 1e-12
+
+
+def test_attention_rejects_bad_shapes():
+    q, k, v, _ = attn_case(18, 3, 0)
+    with pytest.raises(DimensionError):
+        T.causal_gqa_attention(q, k, v, 1)          # offset + S must equal key count
+    with pytest.raises(DimensionError):
+        T.causal_gqa_attention(q, k, T.index(v, (slice(None), slice(0, 1))), 0)

@@ -134,12 +134,6 @@ def test_adamw_wd_zero_params_without_grads_frozen():
 
 # -- lr scaling and schedule -------------------------------------------------
 
-def test_scale_lr():
-    assert O.scale_lr(0.2, 768) == pytest.approx(0.2)
-    assert O.scale_lr(0.2, 1024) == pytest.approx(0.2 * math.sqrt(0.75))
-    assert O.scale_lr(1.0, 1024) == pytest.approx(0.8660254, abs=1e-6)
-
-
 def test_optimizer_scales_adamw_groups_only():
     cfg = tiny_config(d_model=8, n_q_heads=2, head_dim=4)
     params = M.init_params(cfg, seed=0)

@@ -198,14 +198,3 @@ def test_augment_batch_probability_gate():
     out = S.augment_batch(batch, np.random.default_rng(1),
                           S.SynthConfig(augment_prob=1.0))
     assert out.shape == batch.shape and np.isfinite(out).all()
-
-
-# -- stream --------------------------------------------------------------------
-
-def test_series_stream_matches_synchronous():
-    expect_rng = np.random.default_rng(77)
-    expected = [S.sample_series(128, expect_rng) for _ in range(5)]
-    with S.SeriesStream(length=128, seed=77, queue_size=4) as stream:
-        got = [stream.get() for _ in range(5)]
-    for e, g in zip(expected, got):
-        assert e.tobytes() == g.tobytes()
