@@ -31,10 +31,6 @@ class TrainBatch:
     modality: str
 
     @property
-    def seq_len(self) -> int:
-        return self.layouts[0].length
-
-    @property
     def n_text_supervised(self) -> int:
         return int((self.text_targets >= 0).sum())
 
@@ -79,7 +75,7 @@ def pack_documents(docs: Sequence[bytes], vocab: bpe.BpeVocab) -> np.ndarray:
 def build_text_batch(stream: TokenStream, seq_len: int, micro_batch: int) -> TrainBatch:
     layouts = []
     targets = np.empty((micro_batch, seq_len), dtype=np.int64)
-    P = 1  # unused dims kept so the trainer sees one batch shape
+    P = 1  # text batches carry all-zero [B, S, 1] TS targets and mask
     for b in range(micro_batch):
         chunk = stream.next_chunk(seq_len + 1)
         layouts.append(SequenceLayout(length=seq_len, text_pos=np.arange(seq_len),

@@ -106,9 +106,8 @@ def forecast_values(params: dict[str, Tensor], config: M.ModelConfig,
             last = T.index(hidden, (0, slice(0, 1)))
 
     normed = np.concatenate(collected, axis=0)[:horizon]       # [H, Q]
-    sigma = stats.sigma[0]
-    mu = stats.mu[0]
-    quantiles = np.sinh(normed) * sigma + mu                   # sinh keeps the sort order
+    # one channel, so the [1, 1] stats broadcast over [H, Q]; sinh keeps the sort order
+    quantiles = codec.denormalize(normed, stats)
     return ForecastResult(quantiles=quantiles,
                           median=quantiles[:, config.n_quantiles // 2],
                           levels=levels)

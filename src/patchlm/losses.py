@@ -41,7 +41,7 @@ def lm_loss(params: dict[str, Tensor], config: ModelConfig,
     targets = np.asarray(targets, dtype=np.int64)
     n = rows.shape[0]
     if n == 0:
-        return Tensor(np.zeros((), dtype=np.float64)), 0
+        return Tensor(np.zeros((), dtype=rows.dtype)), 0
     if targets.shape != (n,):
         raise DimensionError("one target id per row required")
     table = (params["tok_emb"] if config.tied_lm_head
@@ -72,7 +72,7 @@ def masked_quantile_loss(q_hat: Tensor, targets: np.ndarray, mask: np.ndarray,
             f"shapes disagree: q_hat {q_hat.shape}, targets {targets.shape}, mask {mask.shape}")
     n_valid = float(mask.sum())
     if n_valid == 0.0:
-        return Tensor(np.zeros((), dtype=np.float64)), 0.0
+        return Tensor(np.zeros((), dtype=q_hat.dtype)), 0.0
     n_q = q_hat.shape[-1]
     # y - q_hat with masked targets zeroed so NaN targets never touch the graph
     y = np.where(mask > 0, targets, 0.0)[..., None]

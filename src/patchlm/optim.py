@@ -10,7 +10,8 @@ whole spectrum inside [0.7, 1.3] at exactly five steps.
 AdamW groups: token embedding @ 0.2; untied LM head @ 0.004 (when
 present); patch projection + quantile head + every RMSNorm scale @ 0.002;
 betas (0.8, 0.95), eps 1e-10, weight decay 0.  AdamW learning rates scale
-by sqrt(768/d) to keep update magnitudes steady across widths.
+by sqrt(768/d) to keep update magnitudes steady across widths.  These
+values are fixed module constants, not settings.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ ADAM_BETAS = (0.8, 0.95)
 ADAM_EPS = 1e-10
 
 
-def newton_schulz(g: np.ndarray, steps: int = 5) -> np.ndarray:
+def newton_schulz(g: np.ndarray) -> np.ndarray:
     """Orthogonalize a 2-D matrix; zero input returns zero (eps guard)."""
     if g.ndim != 2:
         raise ConfigError("newton_schulz expects a 2-D matrix")
@@ -53,8 +54,7 @@ def newton_schulz(g: np.ndarray, steps: int = 5) -> np.ndarray:
     transposed = x.shape[0] > x.shape[1]
     if transposed:
         x = x.T
-    for i in range(steps):
-        a, b, c = NS_COEFFS[min(i, len(NS_COEFFS) - 1)]
+    for a, b, c in NS_COEFFS:
         xxt = x @ x.T
         x = a * x + (b * xxt + c * xxt @ xxt) @ x
     if transposed:
@@ -62,20 +62,18 @@ def newton_schulz(g: np.ndarray, steps: int = 5) -> np.ndarray:
     return x.astype(g.dtype)
 
 
-def muon_step(param: np.ndarray, grad: np.ndarray, buf: np.ndarray,
-              lr: float, momentum: float = MUON_MOMENTUM, ns_steps: int = 5) -> None:
+def muon_step(param: np.ndarray, grad: np.ndarray, buf: np.ndarray, lr: float) -> None:
     """buf <- momentum*buf + grad; param -= lr * sqrt(max(r,c)) * NS(buf)."""
-    buf *= momentum
+    buf *= MUON_MOMENTUM
     buf += grad
-    update = newton_schulz(buf, ns_steps)
+    update = newton_schulz(buf)
     param -= lr * math.sqrt(max(param.shape)) * update
 
 
 def adamw_step(param: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray,
-               t: int, lr: float, betas: tuple[float, float] = ADAM_BETAS,
-               eps: float = ADAM_EPS, weight_decay: float = 0.0) -> None:
+               t: int, lr: float, weight_decay: float = 0.0) -> None:
     """Bias-corrected AdamW update at step t (1-based)."""
-    b1, b2 = betas
+    b1, b2 = ADAM_BETAS
     m *= b1
     m += (1 - b1) * grad
     v *= b2
@@ -84,7 +82,7 @@ def adamw_step(param: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray
     v_hat = v / (1 - b2 ** t)
     if weight_decay:
         param -= lr * weight_decay * param
-    param -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    param -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 @dataclass(frozen=True)
@@ -137,33 +135,18 @@ def build_param_groups(params: dict[str, Tensor]) -> dict[str, list[str]]:
     return groups
 
 
-@dataclass(frozen=True)
-class OptimizerConfig:
-    muon_lr: float = MUON_LR
-    momentum: float = MUON_MOMENTUM
-    ns_steps: int = 5
-    embed_lr: float = EMBED_LR
-    head_lr: float = HEAD_LR
-    rest_lr: float = REST_LR
-    betas: tuple[float, float] = ADAM_BETAS
-    eps: float = ADAM_EPS
-    weight_decay: float = 0.0
-
-
 class Optimizer:
     """Grouped Muon + AdamW with a shared schedule multiplier."""
 
-    def __init__(self, params: dict[str, Tensor], model_config: ModelConfig,
-                 config: OptimizerConfig = OptimizerConfig()):
+    def __init__(self, params: dict[str, Tensor], model_config: ModelConfig):
         self.params = params
-        self.config = config
         self.groups = build_param_groups(params)
         adam_scale = math.sqrt(768.0 / model_config.d_model)
         self.group_lrs = {
-            "muon": config.muon_lr,
-            "adamw_embed": config.embed_lr * adam_scale,
-            "adamw_head": config.head_lr * adam_scale,
-            "adamw_rest": config.rest_lr * adam_scale,
+            "muon": MUON_LR,
+            "adamw_embed": EMBED_LR * adam_scale,
+            "adamw_head": HEAD_LR * adam_scale,
+            "adamw_rest": REST_LR * adam_scale,
         }
         self.state: dict[str, dict[str, np.ndarray]] = {}
         for name in self.groups["muon"]:
@@ -182,8 +165,7 @@ class Optimizer:
             if p.grad is None:
                 continue
             muon_step(p.data, p.grad, self.state[name]["buf"],
-                      lr=self.group_lrs["muon"] * lr_mult,
-                      momentum=self.config.momentum, ns_steps=self.config.ns_steps)
+                      lr=self.group_lrs["muon"] * lr_mult)
         for group in ("adamw_embed", "adamw_head", "adamw_rest"):
             for name in self.groups[group]:
                 p = self.params[name]
@@ -191,9 +173,7 @@ class Optimizer:
                     continue
                 st = self.state[name]
                 adamw_step(p.data, p.grad, st["m"], st["v"], self.t,
-                           lr=self.group_lrs[group] * lr_mult,
-                           betas=self.config.betas, eps=self.config.eps,
-                           weight_decay=self.config.weight_decay)
+                           lr=self.group_lrs[group] * lr_mult)
 
     def zero_grad(self) -> None:
         for p in self.params.values():

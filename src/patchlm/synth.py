@@ -9,6 +9,9 @@ Kernel outputs clip to +-5 before combination and the result to +-1e7.
 
 Everything runs on normalized time t in [0, 1] in float32, vectorized,
 so a length-32k series stays in the low-millisecond range.
+
+The composition values are fixed module constants, part of the
+KernelSynth recipe (Ansari et al., arXiv 2403.07815), not settings.
 """
 
 from __future__ import annotations
@@ -23,18 +26,12 @@ from .errors import ConfigError
 Kernel = Callable[[np.ndarray, np.random.Generator, dict], np.ndarray]
 
 
-@dataclass(frozen=True)
-class SynthConfig:
-    min_kernels: int = 2
-    max_kernels: int = 5
-    additive_prob: float = 0.8
-    multiply_prob: float = 0.40
-    pre_clip: float = 5.0
-    post_clip: float = 1.0e7
-    augment_prob: float = 0.5          # per TS batch: jitter+scale+mixup stack
-    synthetic_batch_prob: float = 0.20  # per TS batch: synthetic vs corpus data
-    jitter_sigma: tuple[float, float] = (0.01, 0.1)   # times the series std
-    scale_range: tuple[float, float] = (0.5, 2.0)
+MIN_KERNELS = 2
+MAX_KERNELS = 5
+ADDITIVE_PROB = 0.8
+MULTIPLY_PROB = 0.40
+PRE_CLIP = 5.0
+POST_CLIP = 1.0e7
 
 
 @dataclass
@@ -279,7 +276,7 @@ def shift_positive(x: np.ndarray) -> np.ndarray:
 
 
 def compose(kernel_outputs: list[np.ndarray], mode: str, rng: np.random.Generator,
-            multiply_prob: float = 0.40) -> np.ndarray:
+            multiply_prob: float = MULTIPLY_PROB) -> np.ndarray:
     if mode == "additive":
         out = np.sum(kernel_outputs, axis=0)
     elif mode == "mixed":
@@ -294,7 +291,15 @@ def compose(kernel_outputs: list[np.ndarray], mode: str, rng: np.random.Generato
     return out
 
 
-def sample_series_info(length: int, rng, config: SynthConfig = SynthConfig(),
+def _bank_matches(name: str) -> list[tuple[str, str, Kernel]]:
+    """Bank entries whose category or entry name is ``name``."""
+    matches = [e for e in KERNEL_BANK if name in (e[0], e[1])]
+    if not matches:
+        raise ConfigError(f"unknown kernel {name!r}")
+    return matches
+
+
+def sample_series_info(length: int, rng,
                        force_kernel: str | None = None) -> tuple[np.ndarray, SynthInfo]:
     """Generate one series plus the kernels/mode that produced it."""
     if isinstance(rng, (int, np.integer)):
@@ -302,71 +307,35 @@ def sample_series_info(length: int, rng, config: SynthConfig = SynthConfig(),
     t = normalized_time(length)
 
     if force_kernel is not None:
-        matches = [e for e in KERNEL_BANK if force_kernel in (e[0], e[1])]
-        if not matches:
-            raise ConfigError(f"unknown kernel {force_kernel!r}")
+        matches = _bank_matches(force_kernel)
         chosen = [matches[int(rng.integers(len(matches)))]]
         mode = "additive"
     else:
-        n = int(rng.integers(config.min_kernels, config.max_kernels + 1))
+        n = int(rng.integers(MIN_KERNELS, MAX_KERNELS + 1))
         idx = rng.choice(len(KERNEL_BANK), size=n, replace=False)
         chosen = [KERNEL_BANK[i] for i in idx]
-        mode = "additive" if rng.random() < config.additive_prob else "mixed"
+        mode = "additive" if rng.random() < ADDITIVE_PROB else "mixed"
 
     outputs = []
     for _, _, fn in chosen:
         raw = np.asarray(fn(t, rng), dtype=np.float32)
-        outputs.append(np.clip(raw, -config.pre_clip, config.pre_clip))
-    series = compose(outputs, mode, rng, config.multiply_prob)
-    series = np.clip(series, -config.post_clip, config.post_clip).astype(np.float32)
+        outputs.append(np.clip(raw, -PRE_CLIP, PRE_CLIP))
+    series = compose(outputs, mode, rng)
+    series = np.clip(series, -POST_CLIP, POST_CLIP).astype(np.float32)
     info = SynthInfo(kernel_names=[name for _, name, _ in chosen],
                      categories=[cat for cat, _, _ in chosen], mode=mode)
     return series, info
 
 
-def sample_series(length: int, rng, config: SynthConfig = SynthConfig(),
-                  force_kernel: str | None = None) -> np.ndarray:
-    return sample_series_info(length, rng, config, force_kernel)[0]
+def sample_series(length: int, rng, force_kernel: str | None = None) -> np.ndarray:
+    return sample_series_info(length, rng, force_kernel)[0]
 
 
 def force_kernel_series(length: int, rng, name: str, overrides: dict) -> np.ndarray:
     """One clipped kernel with pinned parameters (test fixtures)."""
-    matches = [e for e in KERNEL_BANK if name in (e[0], e[1])]
-    if not matches:
-        raise ConfigError(f"unknown kernel {name!r}")
+    matches = _bank_matches(name)
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(int(rng))
     t = normalized_time(length)
     raw = np.asarray(matches[0][2](t, rng, overrides), dtype=np.float32)
-    return np.clip(raw, -SynthConfig.pre_clip, SynthConfig.pre_clip)
-
-
-# -- augmentations ----------------------------------------------------------
-
-def jitter(x: np.ndarray, rng: np.random.Generator,
-           sigma_range: tuple[float, float] = SynthConfig.jitter_sigma) -> np.ndarray:
-    sigma = rng.uniform(*sigma_range) * max(float(x.std()), 1e-12)
-    return x + rng.normal(0.0, sigma, x.shape).astype(x.dtype)
-
-
-def scale_aug(x: np.ndarray, rng: np.random.Generator,
-              scale_range: tuple[float, float] = SynthConfig.scale_range) -> np.ndarray:
-    return x * x.dtype.type(rng.uniform(*scale_range))
-
-
-def mixup(batch: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Convex combinations with a shuffled partner, lambda ~ Uniform(0,1)."""
-    partners = rng.permutation(len(batch))
-    lam = rng.uniform(0.0, 1.0, size=(len(batch),) + (1,) * (batch.ndim - 1)).astype(batch.dtype)
-    return lam * batch + (1.0 - lam) * batch[partners]
-
-
-def augment_batch(batch: np.ndarray, rng: np.random.Generator,
-                  config: SynthConfig = SynthConfig()) -> np.ndarray:
-    """With probability augment_prob, apply the jitter/scale/mixup stack."""
-    if rng.random() >= config.augment_prob:
-        return batch
-    out = np.stack([scale_aug(jitter(row, rng, config.jitter_sigma), rng, config.scale_range)
-                    for row in batch])
-    return mixup(out, rng)
-
+    return np.clip(raw, -PRE_CLIP, PRE_CLIP)

@@ -93,44 +93,8 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}, grad={self.requires_grad})"
-
-    # -- operator sugar ------------------------------------------------
-    def __add__(self, other):
-        return add(self, other) if isinstance(other, Tensor) else add_const(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other) if isinstance(other, Tensor) else add_const(self, -np.asarray(other))
-
-    def __mul__(self, other):
-        return mul(self, other) if isinstance(other, Tensor) else mul_const(self, other)
-
-    def __rmul__(self, other):
-        return mul_const(self, other)
-
-    def __neg__(self):
-        return mul_const(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
-
-    def transpose(self, axes):
-        return transpose(self, axes)
-
-    def sum(self, axis=None, keepdims=False):
-        return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return tmean(self, axis=axis, keepdims=keepdims)
 
     # -- backward ------------------------------------------------------
     def backward(self) -> None:
@@ -235,23 +199,9 @@ def tanh(a: Tensor) -> Tensor:
     return _make(y, [(a, lambda g: g * (1.0 - y * y))])
 
 
-def sinh(a: Tensor) -> Tensor:
-    return _make(np.sinh(a.data), [(a, lambda g: g * np.cosh(a.data))])
-
-
-def arcsinh(a: Tensor) -> Tensor:
-    return _make(np.arcsinh(a.data), [(a, lambda g: g / np.sqrt(1.0 + a.data * a.data))])
-
-
 def texp(a: Tensor) -> Tensor:
     y = np.exp(a.data)
     return _make(y, [(a, lambda g: g * y)])
-
-
-def tlog(a: Tensor, floor: float = 1e-30) -> Tensor:
-    """Natural log with the argument floored at ``floor`` (no silent NaN)."""
-    x = np.maximum(a.data, floor)
-    return _make(np.log(x), [(a, lambda g: g / x)])
 
 
 def silu(a: Tensor) -> Tensor:

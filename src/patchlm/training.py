@@ -27,7 +27,7 @@ from . import model as M
 from . import tensor as T
 from .bpe import BpeVocab
 from .errors import ConfigError
-from .optim import Optimizer, OptimizerConfig, Schedule
+from .optim import Optimizer, Schedule
 from .tensor import Tensor
 
 
@@ -59,22 +59,21 @@ class DataSources:
     vocab: Optional[BpeVocab] = None
 
 
-def synthetic_ts_source(length: int, config: synth.SynthConfig = synth.SynthConfig()):
+def synthetic_ts_source(length: int):
     def source(rng: np.random.Generator) -> codec.RawSeries:
-        return codec.RawSeries(synth.sample_series(length, rng, config))
+        return codec.RawSeries(synth.sample_series(length, rng))
     return source
 
 
 def mixed_ts_source(file_series: Sequence[codec.RawSeries], length: int,
-                    synthetic_batch_prob: float = 0.20,
-                    config: synth.SynthConfig = synth.SynthConfig()):
+                    synthetic_batch_prob: float = 0.20):
     """Corpus series with a per-draw synthetic fraction."""
     if not file_series:
         raise ConfigError("no corpus series given")
 
     def source(rng: np.random.Generator) -> codec.RawSeries:
         if rng.random() < synthetic_batch_prob:
-            return codec.RawSeries(synth.sample_series(length, rng, config))
+            return codec.RawSeries(synth.sample_series(length, rng))
         return file_series[int(rng.integers(len(file_series)))]
     return source
 
@@ -112,19 +111,19 @@ def describe_synth(info: synth.SynthInfo) -> bytes:
     return f"This series shows {text}.".encode()
 
 
-def synthetic_alignment_source(length: int, config: synth.SynthConfig = synth.SynthConfig()):
+def synthetic_alignment_source(length: int):
     def source(rng: np.random.Generator) -> list[data.Segment]:
-        series, info = synth.sample_series_info(length, rng, config)
+        series, info = synth.sample_series_info(length, rng)
         return [("text", describe_synth(info)), ("series", codec.RawSeries(series))]
     return source
 
 
 class Trainer:
     def __init__(self, config: M.ModelConfig, params: Optional[dict[str, Tensor]] = None,
-                 seed: int = 0, optimizer_config: OptimizerConfig = OptimizerConfig()):
+                 seed: int = 0):
         self.config = config
         self.params = params if params is not None else M.init_params(config, seed=seed)
-        self.optimizer = Optimizer(self.params, config, optimizer_config)
+        self.optimizer = Optimizer(self.params, config)
         self.rng = np.random.default_rng(seed)
         self.step = 0
         self.tokens_seen = 0
@@ -143,7 +142,7 @@ class Trainer:
             ce, n_text = losses.lm_loss(self.params, self.config,
                                         T.index(flat, (text_rows,)), tt[text_rows])
         else:
-            ce, n_text = Tensor(np.zeros(())), 0
+            ce, n_text = Tensor(np.zeros((), dtype=flat.dtype)), 0
 
         tm = batch.ts_mask.reshape(B * S, -1)
         ts_rows = np.flatnonzero(tm.any(axis=1))
@@ -152,7 +151,7 @@ class Trainer:
             ql, _ = losses.masked_quantile_loss(
                 q_hat, batch.ts_targets.reshape(B * S, -1)[ts_rows], tm[ts_rows], self.levels)
         else:
-            ql = Tensor(np.zeros(()))
+            ql = Tensor(np.zeros((), dtype=flat.dtype))
 
         loss = losses.combined_loss(ce, ql, w_text, w_ts)
         if loss.requires_grad or loss._rules:
@@ -224,12 +223,11 @@ class Trainer:
         ckpt.save_checkpoint(path, self.config, tensors, extra)
 
     @classmethod
-    def load(cls, path: str, sources: Optional[DataSources] = None,
-             optimizer_config: OptimizerConfig = OptimizerConfig()) -> "Trainer":
+    def load(cls, path: str, sources: Optional[DataSources] = None) -> "Trainer":
         config, tensors, extra = ckpt.load_checkpoint(path)
         params = ckpt.tensors_to_params(
             {k: v for k, v in tensors.items() if k.startswith("param.")}, "param.")
-        trainer = cls(config, params=params, optimizer_config=optimizer_config)
+        trainer = cls(config, params=params)
         trainer.optimizer.load_state_tensors(
             {k: v for k, v in tensors.items() if k.startswith("opt.")}, extra["opt_t"])
         trainer.step = extra["step"]

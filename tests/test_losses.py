@@ -86,6 +86,9 @@ def test_lm_loss_empty_is_zero_weight():
     params = M.init_params(cfg, seed=0)
     loss, n = L.lm_loss(params, cfg, Tensor(np.zeros((0, cfg.d_model))), np.zeros(0))
     assert n == 0 and loss.item() == 0.0
+    loss, _ = L.lm_loss(params, cfg, Tensor(np.zeros((0, cfg.d_model), dtype=np.float32)),
+                        np.zeros(0))
+    assert loss.dtype == np.float32
 
 
 # -- quantile head -------------------------------------------------------
@@ -162,6 +165,10 @@ def test_mql_empty_mask():
     loss, w = L.masked_quantile_loss(
         Tensor(np.zeros((1, 2, 3))), np.zeros((1, 2)), np.zeros((1, 2)), L.quantile_levels(3))
     assert loss.item() == 0.0 and w == 0.0
+    loss, _ = L.masked_quantile_loss(
+        Tensor(np.zeros((1, 2, 3), dtype=np.float32)), np.zeros((1, 2)), np.zeros((1, 2)),
+        L.quantile_levels(3))
+    assert loss.dtype == np.float32
 
 
 def test_mql_duplication_invariance():

@@ -199,6 +199,27 @@ def test_ts_step_leaves_text_embedding_untouched(vocab):
     assert np.array_equal(trainer.params["tok_emb"].data, emb_before)
 
 
+@pytest.mark.parametrize("modality", ["text", "ts"])
+def test_single_modality_step_backward_root_is_float32(vocab, monkeypatch, modality):
+    cfg = tiny_config()
+    trainer = training.Trainer(cfg, seed=4)
+    sources = make_sources(vocab, cfg)
+    if modality == "text":
+        batch = data.build_text_batch(sources.text_stream, 12, 2)
+    else:
+        batch = data.build_ts_batch(lambda: sources.ts_source(trainer.rng), 12, 2, cfg.patch_len)
+    roots = []
+    backward = training.Tensor.backward
+
+    def spy(self):
+        roots.append(self.dtype)
+        backward(self)
+
+    monkeypatch.setattr(training.Tensor, "backward", spy)
+    trainer.train_step(batch, 1.0, 1.0, 2.5)
+    assert roots == [np.float32]
+
+
 def test_overfit_fixed_ts_batch(vocab):
     cfg = tiny_config()
     trainer = training.Trainer(cfg, seed=3)

@@ -167,34 +167,3 @@ def test_kernel_count_and_mode_statistics():
 def test_length_floor():
     with pytest.raises(ConfigError):
         S.sample_series(1, 0)
-
-
-# -- augmentations ------------------------------------------------------------
-
-def test_jitter_zero_sigma_identity():
-    x = np.random.default_rng(0).normal(size=64).astype(np.float32)
-    out = S.jitter(x, np.random.default_rng(1), sigma_range=(0.0, 0.0))
-    assert np.allclose(out, x)
-
-
-def test_scale_factor_one_identity():
-    x = np.random.default_rng(0).normal(size=64).astype(np.float32)
-    out = S.scale_aug(x, np.random.default_rng(1), scale_range=(1.0, 1.0))
-    assert np.array_equal(out, x)
-
-
-def test_mixup_convex_combination():
-    batch = np.stack([np.zeros(16, dtype=np.float32), np.ones(16, dtype=np.float32)])
-    out = S.mixup(batch, np.random.default_rng(2))
-    assert out.min() >= 0.0 and out.max() <= 1.0
-
-
-def test_augment_batch_probability_gate():
-    batch = np.random.default_rng(0).normal(size=(4, 32)).astype(np.float32)
-    # augment_prob=0 -> untouched
-    out = S.augment_batch(batch, np.random.default_rng(1),
-                          S.SynthConfig(augment_prob=0.0))
-    assert np.array_equal(out, batch)
-    out = S.augment_batch(batch, np.random.default_rng(1),
-                          S.SynthConfig(augment_prob=1.0))
-    assert out.shape == batch.shape and np.isfinite(out).all()

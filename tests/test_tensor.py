@@ -65,17 +65,11 @@ def test_grad_check_quadratic():
     assert report.n_checked == 2
 
 
-@pytest.mark.parametrize("op", [T.tanh, T.sinh, T.arcsinh, T.silu, T.texp])
+@pytest.mark.parametrize("op", [T.tanh, T.silu, T.texp])
 def test_unary_op_gradients(op):
     rng = np.random.default_rng(3)
     x = t64(rng.normal(size=(3, 5)) * 0.7)
     fd_check(lambda: T.tsum(op(x)), [("x", x)])
-
-
-def test_log_guarded():
-    x = T.Tensor([0.0, 1.0])
-    out = T.tlog(x)
-    assert np.isfinite(out.data).all()
 
 
 def test_log_softmax_matches_softmax_log():
