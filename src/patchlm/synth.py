@@ -51,25 +51,11 @@ def _params(rng: np.random.Generator, overrides: Optional[dict], **draws) -> dic
 # -- kernel implementations (normalized time t in [0, 1]) ----------------
 
 def _rff_mean_cos(w: np.ndarray, phases: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """mean_r cos(w_r t + phase_r) on the uniform grid of ``normalized_time``.
-
-    Grid index k = b*S + s splits each angle into a block part and an
-    offset part, and cos(a + o) = cos a cos o - sin a sin o turns the sum
-    over features into one [B, 2R] @ [2R, S] matmul. That takes R*(B+S)
-    trig calls instead of R*L, with B, S ~ sqrt(L).
-    """
-    length = len(t)
-    step = (float(t[-1]) - float(t[0])) / (length - 1)
-    size = int(np.ceil(np.sqrt(length)))
-    n_blocks = -(-length // size)
-    w64 = w.astype(np.float64)
-    block = np.multiply.outer(w64, float(t[0]) + step * size * np.arange(n_blocks))
-    block += phases.astype(np.float64)[:, None]
-    offset = np.multiply.outer(w64, step * np.arange(size))
-    lhs = np.concatenate([np.cos(block), -np.sin(block)]).T
-    rhs = np.concatenate([np.cos(offset), np.sin(offset)])
-    out = (lhs @ rhs).ravel()[:length] / len(w)
-    return out.astype(np.float32)
+    # single [R, L] buffer, transformed in place: the cos calls dominate
+    angles = np.multiply.outer(w, t)
+    angles += phases[:, None]
+    np.cos(angles, out=angles)
+    return angles.mean(axis=0)
 
 
 def rbf_smooth(t, rng, overrides=None, ls_range=(0.01, 0.1), n_features=32):
@@ -156,27 +142,21 @@ def _wave_params(rng, overrides):
                    offset=lambda r: r.uniform(-1.0, 1.0))
 
 
-def _wave_frac(t, p):
-    # x - floor(x) is np.mod(x, 1.0) without fmod's slow float path
-    x = t / p["period"] + p["phase"]
-    return x - np.floor(x)
-
-
 def square_wave(t, rng, overrides=None):
     p = _wave_params(rng, overrides)
-    frac = _wave_frac(t, p)
+    frac = np.mod(t / p["period"] + p["phase"], 1.0)
     return p["amplitude"] * np.sign(frac - 0.5) + p["offset"]
 
 
 def triangle_wave(t, rng, overrides=None):
     p = _wave_params(rng, overrides)
-    frac = _wave_frac(t, p)
+    frac = np.mod(t / p["period"] + p["phase"], 1.0)
     return p["amplitude"] * (4.0 * np.abs(frac - 0.5) - 1.0) + p["offset"]
 
 
 def sawtooth_wave(t, rng, overrides=None):
     p = _wave_params(rng, overrides)
-    frac = _wave_frac(t, p)
+    frac = np.mod(t / p["period"] + p["phase"], 1.0)
     return p["amplitude"] * (2.0 * frac - 1.0) + p["offset"]
 
 
