@@ -172,10 +172,15 @@ def save_vocab(vocab: BpeVocab, path: str) -> None:
 
 def load_vocab(path: str) -> BpeVocab:
     with open(path) as fh:
-        doc = json.load(fh)
-    merges = tuple((int(l), int(r)) for l, r in doc["merges"])
-    vocab = BpeVocab(merges, {str(k): int(v) for k, v in doc["specials"].items()})
-    tokens = [bytes.fromhex(t) for t in doc["tokens"]]
+        try:
+            doc = json.load(fh)
+            merges = tuple((int(l), int(r)) for l, r in doc["merges"])
+            specials = {str(k): int(v) for k, v in doc["specials"].items()}
+            tokens = [bytes.fromhex(t) for t in doc["tokens"]]
+        except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
+            # ValueError covers invalid JSON, undecodable bytes and bad numbers
+            raise DataError(f"{path}: malformed vocabulary file ({exc})") from exc
+    vocab = BpeVocab(merges, specials)
     if tokens != vocab.token_bytes():
         raise DataError("vocabulary file inconsistent: token table does not match merges")
     if doc.get("vocab_size") != vocab.size:

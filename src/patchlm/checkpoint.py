@@ -11,13 +11,15 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
+import os
 import struct
 from typing import Any
 
 import numpy as np
 
 from .errors import DataError
-from .model import ModelConfig
+from .model import ModelConfig, param_shapes
 from .tensor import Tensor
 
 _DTYPES = {"f4": np.dtype("<f4"), "f8": np.dtype("<f8")}
@@ -57,28 +59,53 @@ def save_checkpoint(path: str, config: ModelConfig, tensors: dict[str, np.ndarra
             fh.write(raw)
 
 
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def _config_from(fields: dict, path: str) -> ModelConfig:
+    unknown = set(fields) - {f.name for f in dataclasses.fields(ModelConfig)}
+    if unknown:
+        raise DataError(f"{path}: config keys {sorted(unknown)} are not in this version")
+    # every ModelConfig field is a positive integer
+    if not all(_is_count(v) and v > 0 for v in fields.values()):
+        raise DataError(f"{path}: config values must be positive integers")
+    try:
+        return ModelConfig(**fields)
+    except ValueError as exc:
+        raise DataError(f"{path}: invalid config ({exc})") from exc
+
+
 def load_checkpoint(path: str) -> tuple[ModelConfig, dict[str, np.ndarray], dict[str, Any]]:
     with open(path, "rb") as fh:
         header = fh.read(8)
         if len(header) != 8:
             raise DataError(f"{path}: truncated checkpoint header")
         (blob_len,) = struct.unpack("<Q", header)
+        if blob_len > os.fstat(fh.fileno()).st_size - 8:
+            raise DataError(f"{path}: manifest length {blob_len} exceeds the file")
         blob = fh.read(blob_len)
-        if len(blob) != blob_len:
-            raise DataError(f"{path}: truncated manifest")
-        manifest = json.loads(blob.decode())
         payload = fh.read()
+    try:
+        manifest = json.loads(blob.decode())
+    except ValueError as exc:  # invalid UTF-8 or invalid JSON
+        raise DataError(f"{path}: manifest is not valid JSON") from exc
+    if not (isinstance(manifest, dict) and isinstance(manifest.get("config"), dict)
+            and isinstance(manifest.get("tensors"), dict)
+            and isinstance(manifest.get("extra", {}), dict)):
+        raise DataError(f"{path}: manifest lacks its 'config', 'tensors' or 'extra' object")
 
-    config = ModelConfig(**manifest["config"])
+    config = _config_from(manifest["config"], path)
     tensors = {}
     for name, meta in manifest["tensors"].items():
-        dtype = _DTYPES.get(meta["dtype"])
-        if dtype is None:
-            raise DataError(f"{path}: unknown dtype tag {meta['dtype']}")
+        if not (isinstance(meta, dict) and meta.get("dtype") in tuple(_DTYPES)
+                and isinstance(meta.get("shape"), list) and all(map(_is_count, meta["shape"]))
+                and _is_count(meta.get("offset"))):
+            raise DataError(f"{path}: malformed directory entry for tensor {name}")
+        dtype = _DTYPES[meta["dtype"]]
         shape = tuple(meta["shape"])
-        count = int(np.prod(shape)) if shape else 1
         start = meta["offset"]
-        end = start + count * dtype.itemsize
+        end = start + math.prod(shape) * dtype.itemsize
         if end > len(payload):
             raise DataError(f"{path}: payload too short for tensor {name}")
         tensors[name] = np.frombuffer(payload[start:end], dtype=dtype).reshape(shape).copy()
@@ -89,10 +116,21 @@ def params_to_tensors(params: dict[str, Tensor]) -> dict[str, np.ndarray]:
     return {name: p.data for name, p in params.items()}
 
 
-def tensors_to_params(tensors: dict[str, np.ndarray], prefix: str = "") -> dict[str, Tensor]:
-    out = {}
-    for name, arr in tensors.items():
-        if prefix and not name.startswith(prefix):
-            continue
-        out[name.removeprefix(prefix)] = Tensor(arr.copy(), requires_grad=True)
-    return out
+def tensors_to_params(tensors: dict[str, np.ndarray]) -> dict[str, Tensor]:
+    return {name: Tensor(arr.copy(), requires_grad=True) for name, arr in tensors.items()}
+
+
+def model_params(config: ModelConfig, tensors: dict[str, np.ndarray]) -> dict[str, Tensor]:
+    """The ``param.`` tensors as model parameters, checked against the config:
+    DataError unless names and shapes are exactly ``param_shapes(config)``."""
+    params = tensors_to_params({name.removeprefix("param."): arr for name, arr in tensors.items()
+                                if name.startswith("param.")})
+    expected = param_shapes(config)
+    got = {name: p.shape for name, p in params.items()}
+    if got != expected:
+        missing = sorted(set(expected) - set(got))
+        unexpected = sorted(set(got) - set(expected))
+        reshaped = sorted(n for n in set(got) & set(expected) if got[n] != expected[n])
+        raise DataError(f"checkpoint parameters do not fit the config: missing {missing[:4]}, "
+                        f"unexpected {unexpected[:4]}, wrong shape {reshaped[:4]}")
+    return params

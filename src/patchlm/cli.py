@@ -4,7 +4,7 @@ Subcommands: tokenize (train/encode/decode), synth, train, forecast,
 embed, probe, eval.  Every run takes --seed, emits machine-readable
 JSON-lines (human tables only with --pretty), and writes a run manifest
 next to its primary output.  Exit codes: 0 ok, 2 config error, 3 data
-error, 4 numeric failure.
+error (including a missing or unreadable input file), 4 numeric failure.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from typing import Optional
 import numpy as np
 
 from . import bpe, checkpoint, codec, config as cfgmod, data, inference, losses, metrics
-from . import model as M
 from . import synth, training
 from .errors import ConfigError, DataError, NumericError
 from .optim import Schedule
@@ -26,19 +25,41 @@ from .optim import Schedule
 
 def _read_jsonl(path: str) -> list[dict]:
     records = []
-    try:
-        with open(path) as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    records.append(json.loads(line))
-                except json.JSONDecodeError as exc:
-                    raise DataError(f"{path}:{lineno}: invalid JSON") from exc
-    except FileNotFoundError as exc:
-        raise DataError(f"input not found: {path}") from exc
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, 1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise DataError(f"{path}:{lineno}: invalid JSON") from exc
+            if not isinstance(record, dict):
+                raise DataError(f"{path}:{lineno}: expected a JSON object")
+            records.append(record)
     return records
+
+
+def _field(record: dict, key: str, path: str, convert=None, default=None):
+    """record[key] passed through convert; a missing key (with no default)
+    or a value that does not convert is a DataError naming file and key."""
+    if key not in record:
+        if default is not None:
+            return default
+        raise DataError(f"{path}: record without {key!r}")
+    try:
+        return convert(record[key]) if convert else record[key]
+    except (OverflowError, TypeError, ValueError) as exc:
+        raise DataError(f"{path}: record with a malformed {key!r}") from exc
+
+
+def _floats(ndim: int):
+    def convert(value) -> np.ndarray:
+        arr = np.asarray(value, dtype=np.float64)
+        if arr.ndim != ndim or arr.size == 0:
+            raise ValueError(f"expected non-empty {ndim}-D numbers")
+        return arr
+    return convert
 
 
 def _write_jsonl(path: str, records) -> None:
@@ -60,11 +81,8 @@ def _maybe_echo(args, payload: dict) -> None:
 def cmd_tokenize_train(args) -> int:
     docs = []
     for path in args.input:
-        try:
-            with open(path, "rb") as fh:
-                docs.append(fh.read())
-        except FileNotFoundError as exc:
-            raise DataError(f"input not found: {path}") from exc
+        with open(path, "rb") as fh:
+            docs.append(fh.read())
     manifest = cfgmod.ManifestWriter("tokenize train",
                                      {"input": args.input, "vocab_size": args.vocab_size},
                                      args.seed)
@@ -92,7 +110,13 @@ def cmd_tokenize_encode(args) -> int:
 def cmd_tokenize_decode(args) -> int:
     vocab = bpe.load_vocab(args.vocab)
     with open(args.input) as fh:
-        ids = json.load(fh)["ids"]
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"{args.input}: invalid JSON") from exc
+    if not isinstance(doc, dict):
+        raise DataError(f"{args.input}: expected a JSON object")
+    ids = _field(doc, "ids", args.input, lambda v: [int(t) for t in v])
     manifest = cfgmod.ManifestWriter("tokenize decode", {"vocab": args.vocab}, args.seed)
     with open(args.out, "wb") as fh:
         fh.write(bpe.decode(ids, vocab))
@@ -125,11 +149,8 @@ def cmd_synth(args) -> int:
 def _text_stream_from(paths, vocab) -> data.TokenStream:
     docs = []
     for path in paths:
-        try:
-            with open(path, "rb") as fh:
-                docs.append(fh.read())
-        except FileNotFoundError as exc:
-            raise DataError(f"text corpus not found: {path}") from exc
+        with open(path, "rb") as fh:
+            docs.append(fh.read())
     return data.TokenStream(data.pack_documents(docs, vocab))
 
 
@@ -192,16 +213,8 @@ def cmd_train(args) -> int:
 # -- forecast / embed --------------------------------------------------------------
 
 def _load_model(path: str):
-    try:
-        config, tensors, extra = checkpoint.load_checkpoint(path)
-    except FileNotFoundError as exc:
-        raise DataError(f"checkpoint not found: {path}") from exc
-    params = checkpoint.tensors_to_params(
-        {k: v for k, v in tensors.items() if k.startswith("param.")}, "param.")
-    missing = set(M.param_shapes(config)) - set(params)
-    if missing:
-        raise DataError(f"checkpoint missing tensors: {sorted(missing)[:4]}")
-    return config, params
+    config, tensors, _ = checkpoint.load_checkpoint(path)
+    return config, checkpoint.model_params(config, tensors)
 
 
 def cmd_forecast(args) -> int:
@@ -250,9 +263,11 @@ def cmd_embed(args) -> int:
 # -- probe ---------------------------------------------------------------------------
 
 def _join_by_id(embeddings_path: str, labels_path: str):
-    embs = {r["id"]: np.asarray(r["embedding"], dtype=np.float64)
+    embs = {_field(r, "id", embeddings_path, str): _field(r, "embedding", embeddings_path,
+                                                           _floats(1))
             for r in _read_jsonl(embeddings_path)}
-    labels = {r["id"]: int(r["label"]) for r in _read_jsonl(labels_path)}
+    labels = {_field(r, "id", labels_path, str): _field(r, "label", labels_path, int)
+              for r in _read_jsonl(labels_path)}
     ids = sorted(set(embs) & set(labels))
     if not ids:
         raise DataError("no overlapping ids between embeddings and labels")
@@ -266,14 +281,9 @@ def cmd_probe(args) -> int:
     n_classes = int(y.max()) + 1
     manifest = cfgmod.ManifestWriter(
         "probe", {"head": args.head, "epochs": args.epochs}, args.seed)
-    if args.head == "linear":
-        probe_cfg = inference.ProbeConfig(epochs=args.epochs, seed=args.seed,
-                                          class_balanced=args.class_balanced)
-        head = inference.train_linear_probe(x, y, n_classes, probe_cfg)
-    else:
-        head_cfg = inference.MlpHeadConfig(epochs=args.epochs, seed=args.seed,
-                                           class_balanced=args.class_balanced)
-        head = inference.train_mlp_head(x, y, n_classes, head_cfg)
+    train = inference.train_linear_probe if args.head == "linear" else inference.train_mlp_head
+    head = train(x, y, n_classes, epochs=args.epochs, seed=args.seed,
+                 class_balanced=args.class_balanced)
     if args.test_embeddings and args.test_labels:
         x_eval, y_eval = _join_by_id(args.test_embeddings, args.test_labels)
     else:
@@ -298,24 +308,28 @@ def cmd_probe(args) -> int:
 # -- eval -----------------------------------------------------------------------------
 
 def cmd_eval_forecast(args) -> int:
-    preds = {(r["id"], r.get("channel", 0)): r for r in _read_jsonl(args.pred)}
+    def key(record, path):
+        return _field(record, "id", path, str), _field(record, "channel", path, int, default=0)
+
+    preds = {key(r, args.pred): r for r in _read_jsonl(args.pred)}
     manifest = cfgmod.ManifestWriter(
         "eval forecast", {"baseline": args.baseline, "season": args.season}, args.seed)
     tasks = []
     for record in _read_jsonl(args.truth):
-        key = (record["id"], record.get("channel", 0))
-        if key not in preds:
-            raise DataError(f"missing prediction for series {key}")
-        pred = preds[key]
-        quantiles = np.asarray(pred["quantiles"], dtype=np.float64)
+        task_key = key(record, args.truth)
+        if task_key not in preds:
+            raise DataError(f"missing prediction for series {task_key}")
+        pred = preds[task_key]
+        quantiles = _field(pred, "quantiles", args.pred, _floats(2))
         levels = losses.quantile_levels(quantiles.shape[1])
-        season = args.season if args.season > 0 else metrics.season_for_freq(record.get("freq"))
+        season = (args.season if args.season > 0 else
+                  metrics.season_for_freq(_field(record, "freq", args.truth, str, default="")))
         tasks.append(metrics.ForecastTask(
-            task_id=str(record["id"]),
-            context=np.asarray(record["context"], dtype=np.float64),
-            target=np.asarray(record["target"], dtype=np.float64),
+            task_id=task_key[0],
+            context=_field(record, "context", args.truth, _floats(1)),
+            target=_field(record, "target", args.truth, _floats(1)),
             quantiles=quantiles,
-            median=np.asarray(pred["median"], dtype=np.float64),
+            median=_field(pred, "median", args.pred, _floats(1)),
             levels=levels,
             season=season,
         ))
@@ -331,21 +345,21 @@ def cmd_eval_forecast(args) -> int:
 
 
 def cmd_eval_cls(args) -> int:
-    preds = {r["id"]: r for r in _read_jsonl(args.pred)}
+    preds = {_field(r, "id", args.pred, str): r for r in _read_jsonl(args.pred)}
     manifest = cfgmod.ManifestWriter("eval cls", {}, args.seed)
     y_true, y_pred, scores = [], [], []
     for record in _read_jsonl(args.truth):
-        rid = record["id"]
+        rid = _field(record, "id", args.truth, str)
         if rid not in preds:
             raise DataError(f"missing prediction for id {rid}")
         pred = preds[rid]
-        y_true.append(int(record["label"]))
+        y_true.append(_field(record, "label", args.truth, int))
         if "scores" in pred:
-            s = np.asarray(pred["scores"], dtype=np.float64)
+            s = _field(pred, "scores", args.pred, _floats(1))
             scores.append(s)
             y_pred.append(int(np.argmax(s)))
         else:
-            y_pred.append(int(pred["label"]))
+            y_pred.append(_field(pred, "label", args.pred, int))
     y_true = np.asarray(y_true)
     y_pred = np.asarray(y_pred)
     payload = {
@@ -482,6 +496,9 @@ def dispatch(argv: Optional[list[str]] = None) -> int:
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 4
+    except OSError as exc:
+        print(f"data error: {exc}", file=sys.stderr)
+        return 3
 
 
 def main() -> None:

@@ -120,18 +120,11 @@ def denormalize(normed: np.ndarray, stats: NormStats) -> np.ndarray:
     return out[0] if squeeze else out
 
 
-def build_time_ramp(length: int) -> np.ndarray:
-    """Per-position ramp (i + 1 - L) / L: near -1 at the start, exactly 0 at the end."""
-    if length < 1:
-        raise DataError("ramp needs length >= 1")
-    i = np.arange(length, dtype=np.float64)
-    return (i + 1.0 - length) / length
-
-
 def extend_time_ramp(length: int, start: int, count: int) -> np.ndarray:
-    """Ramp values for positions start..start+count-1 under the length-L formula.
+    """Ramp (i + 1 - L) / L for positions i = start..start+count-1.
 
-    Positions past the end of the context take values > 0 (generation)."""
+    Over 0..L-1 it runs from near -1 to exactly 0 at the last context
+    position; positions past the end take values > 0 (generation)."""
     i = np.arange(start, start + count, dtype=np.float64)
     return (i + 1.0 - length) / length
 
@@ -177,7 +170,7 @@ def patchify(series: RawSeries, patch_len: int, stats: NormStats | None = None) 
         finite = np.isfinite(series.values[c])
         v = np.where(finite, normed[c], 0.0)
         m = finite.astype(np.float64)
-        r = build_time_ramp(length)
+        r = extend_time_ramp(length, 0, length)
         v_p = _pad_to_patches(v, patch_len)
         m_p = _pad_to_patches(m, patch_len)
         r_p = _pad_to_patches(r, patch_len)
@@ -205,17 +198,27 @@ def patchify(series: RawSeries, patch_len: int, stats: NormStats | None = None) 
 # NaN encodes as null.
 # ---------------------------------------------------------------------
 
+def _numbers(raw) -> list[float]:
+    if isinstance(raw, list) and all(v is None or type(v) in (int, float) for v in raw):
+        try:
+            return [np.nan if v is None else float(v) for v in raw]
+        except OverflowError:  # an integer too large for a float
+            pass
+    raise DataError("series record 'values' must be a list of numbers and nulls, "
+                    "or a list of such lists")
+
+
 def series_from_record(record: dict) -> RawSeries:
-    if "values" not in record:
+    if not isinstance(record, dict) or "values" not in record:
         raise DataError("series record missing 'values'")
     raw = record["values"]
-    if raw and isinstance(raw[0], list):
-        rows = [[np.nan if v is None else float(v) for v in row] for row in raw]
+    if isinstance(raw, list) and raw and isinstance(raw[0], list):
+        rows = [_numbers(row) for row in raw]
         if len({len(r) for r in rows}) != 1:
             raise DataError("channels must share one length")
         values = np.asarray(rows)
     else:
-        values = np.asarray([np.nan if v is None else float(v) for v in raw])
+        values = np.asarray(_numbers(raw))
     return RawSeries(values, series_id=str(record.get("id", "")), freq=record.get("freq"))
 
 
@@ -242,7 +245,11 @@ def read_series_jsonl(path: str) -> Iterator[RawSeries]:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise DataError(f"{path}:{lineno}: invalid JSON ({exc})") from exc
-            yield series_from_record(record)
+            try:
+                series = series_from_record(record)
+            except DataError as exc:
+                raise DataError(f"{path}:{lineno}: {exc}") from exc
+            yield series
 
 
 def write_series_jsonl(path: str, series_list) -> None:

@@ -1,7 +1,7 @@
 """Exception hierarchy shared across the package.
 
-Exit-code mapping for the CLI: ConfigError -> 2, DataError -> 3,
-NumericError -> 4.
+Exit-code mapping for the CLI: ConfigError -> 2, DataError and OSError
+(a missing or unreadable file) -> 3, NumericError -> 4.
 """
 
 

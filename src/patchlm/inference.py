@@ -162,33 +162,13 @@ def extract_embedding(params: dict[str, Tensor], config: M.ModelConfig,
 # heads over frozen embeddings
 # ---------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ProbeConfig:
-    epochs: int = 200
-    lr: float = 1e-2
-    weight_decay: float = 0.0
-    batch_size: int = 64
-    seed: int = 0
-    class_balanced: bool = False
-
-
-@dataclass(frozen=True)
-class MlpHeadConfig:
-    epochs: int = 100
-    lr: float = 1e-3
-    batch_size: int = 8
-    dropout: float = 0.1
-    hidden_dim: int = 128
-    seed: int = 0
-    class_balanced: bool = True
-
-
-@dataclass(frozen=True)
-class ForecastHeadConfig:
-    epochs: int = 100
-    lr: float = 1e-3
-    batch_size: int = 8
-    seed: int = 0
+# probe-head training constants
+PROBE_LR = 1e-2
+PROBE_BATCH = 64
+MLP_LR = 1e-3
+MLP_BATCH = 8
+MLP_DROPOUT = 0.1
+MLP_HIDDEN = 128
 
 
 def _weighted_ce(logits: Tensor, labels: np.ndarray, weights: Optional[np.ndarray]) -> Tensor:
@@ -200,7 +180,15 @@ def _weighted_ce(logits: Tensor, labels: np.ndarray, weights: Optional[np.ndarra
     return T.mul_const(T.tsum(T.mul_const(picked, w)), -1.0 / float(w.sum()))
 
 
-def _adam_train(param_list, grads_fn, n_rows, epochs, lr, batch_size, seed, weight_decay=0.0):
+def _head_inputs(embeddings, labels, n_classes: int, class_balanced: bool):
+    """float64 embeddings, int64 labels, and class weights (None when unweighted)."""
+    labels = np.asarray(labels, dtype=np.int64)
+    weights = (losses.class_balanced_weights(np.bincount(labels, minlength=n_classes))
+               if class_balanced else None)
+    return np.asarray(embeddings, dtype=np.float64), labels, weights
+
+
+def _adam_train(param_list, grads_fn, n_rows, epochs, lr, batch_size, seed):
     """Minimal Adam loop over shuffled minibatches; grads_fn(idx) -> loss Tensor."""
     state = [{"m": np.zeros_like(p.data), "v": np.zeros_like(p.data)} for p in param_list]
     rng = np.random.default_rng(seed)
@@ -217,8 +205,7 @@ def _adam_train(param_list, grads_fn, n_rows, epochs, lr, batch_size, seed, weig
             for p, st in zip(param_list, state):
                 if p.grad is None:
                     continue
-                optim.adamw_step(p.data, p.grad, st["m"], st["v"], t, lr=lr,
-                                 weight_decay=weight_decay)
+                optim.adamw_step(p.data, p.grad, st["m"], st["v"], t, lr=lr)
 
 
 class LinearProbe:
@@ -234,22 +221,17 @@ class LinearProbe:
         return self.scores(embeddings).argmax(axis=1)
 
 
-def train_linear_probe(embeddings: np.ndarray, labels: np.ndarray, n_classes: int,
-                       config: ProbeConfig = ProbeConfig()) -> LinearProbe:
-    embeddings = np.asarray(embeddings, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
-    weights = None
-    if config.class_balanced:
-        counts = np.bincount(labels, minlength=n_classes)
-        weights = losses.class_balanced_weights(counts)
+def train_linear_probe(embeddings: np.ndarray, labels: np.ndarray, n_classes: int, *,
+                       epochs: int = 200, seed: int = 0,
+                       class_balanced: bool = False) -> LinearProbe:
+    embeddings, labels, weights = _head_inputs(embeddings, labels, n_classes, class_balanced)
     w = Tensor(np.zeros((embeddings.shape[1], n_classes)), requires_grad=True)
 
     def loss_on(idx):
         logits = T.matmul(Tensor(embeddings[idx]), w)
         return _weighted_ce(logits, labels[idx], weights)
 
-    _adam_train([w], loss_on, len(labels), config.epochs, config.lr,
-                config.batch_size, config.seed, config.weight_decay)
+    _adam_train([w], loss_on, len(labels), epochs, PROBE_LR, PROBE_BATCH, seed)
     return LinearProbe(w.data.copy())
 
 
@@ -268,56 +250,22 @@ class MlpHead:
         return self.scores(embeddings).argmax(axis=1)
 
 
-def train_mlp_head(embeddings: np.ndarray, labels: np.ndarray, n_classes: int,
-                   config: MlpHeadConfig = MlpHeadConfig()) -> MlpHead:
-    embeddings = np.asarray(embeddings, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
-    weights = None
-    if config.class_balanced:
-        counts = np.bincount(labels, minlength=n_classes)
-        weights = losses.class_balanced_weights(counts)
+def train_mlp_head(embeddings: np.ndarray, labels: np.ndarray, n_classes: int, *,
+                   epochs: int = 100, seed: int = 0, class_balanced: bool = True) -> MlpHead:
+    embeddings, labels, weights = _head_inputs(embeddings, labels, n_classes, class_balanced)
     d = embeddings.shape[1]
-    init_rng = np.random.default_rng(config.seed)
-    w1 = Tensor(init_rng.normal(0, 1.0 / np.sqrt(d), (d, config.hidden_dim)), requires_grad=True)
-    w2 = Tensor(np.zeros((config.hidden_dim, n_classes)), requires_grad=True)
-    drop_rng = np.random.default_rng(config.seed + 1)
+    init_rng = np.random.default_rng(seed)
+    w1 = Tensor(init_rng.normal(0, 1.0 / np.sqrt(d), (d, MLP_HIDDEN)), requires_grad=True)
+    w2 = Tensor(np.zeros((MLP_HIDDEN, n_classes)), requires_grad=True)
+    drop_rng = np.random.default_rng(seed + 1)
 
     def loss_on(idx):
         h = T.matmul(Tensor(embeddings[idx]), w1)
         h = T.maximum(h, Tensor(np.zeros(h.shape)))
-        if config.dropout > 0.0:
-            keep = (drop_rng.random(h.shape) >= config.dropout) / (1.0 - config.dropout)
-            h = T.mul_const(h, keep)
+        keep = (drop_rng.random(h.shape) >= MLP_DROPOUT) / (1.0 - MLP_DROPOUT)
+        h = T.mul_const(h, keep)
         logits = T.matmul(h, w2)
         return _weighted_ce(logits, labels[idx], weights)
 
-    _adam_train([w1, w2], loss_on, len(labels), config.epochs, config.lr,
-                config.batch_size, config.seed)
+    _adam_train([w1, w2], loss_on, len(labels), epochs, MLP_LR, MLP_BATCH, seed)
     return MlpHead(w1.data.copy(), w2.data.copy())
-
-
-class ForecastHead:
-    """Linear map from pooled embedding to an H-step point forecast."""
-
-    def __init__(self, weight: np.ndarray):
-        self.weight = weight  # [D, H]
-
-    def predict(self, embeddings: np.ndarray) -> np.ndarray:
-        return np.asarray(embeddings, dtype=np.float64) @ self.weight
-
-
-def train_forecast_head(embeddings: np.ndarray, targets: np.ndarray,
-                        config: ForecastHeadConfig = ForecastHeadConfig()) -> ForecastHead:
-    """MSE regression of horizon targets on frozen embeddings."""
-    embeddings = np.asarray(embeddings, dtype=np.float64)
-    targets = np.asarray(targets, dtype=np.float64)
-    w = Tensor(np.zeros((embeddings.shape[1], targets.shape[1])), requires_grad=True)
-
-    def loss_on(idx):
-        pred = T.matmul(Tensor(embeddings[idx]), w)
-        err = T.add_const(pred, -targets[idx])
-        return T.tmean(T.mul(err, err))
-
-    _adam_train([w], loss_on, len(targets), config.epochs, config.lr,
-                config.batch_size, config.seed)
-    return ForecastHead(w.data.copy())

@@ -1,7 +1,7 @@
 """Output heads and training losses.
 
-Text: cross-entropy over the soft-capped logits of the tied (or untied)
-head, computed by the fused ``tensor.softcapped_cross_entropy``: rows go
+Text: cross-entropy over the soft-capped logits of the tied head,
+computed by the fused ``tensor.softcapped_cross_entropy``: rows go
 through in chunks and the gradients are formed in the forward pass
 (``model.text_logits`` is the unfused form).  Time series: a
 zero-initialized bias-free quantile head over Q levels and the masked
@@ -15,7 +15,8 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, DimensionError
-from .model import ModelConfig, text_logits  # noqa: F401  (looked up here by bench/layers.py)
+from .model import NORM_EPS, SOFTCAP_ALPHA, ModelConfig
+from .model import text_logits  # noqa: F401  (looked up here by bench/layers.py)
 from .tensor import Tensor
 
 DEFAULT_TEXT_WEIGHT = 1.0
@@ -44,14 +45,12 @@ def lm_loss(params: dict[str, Tensor], config: ModelConfig,
         return Tensor(np.zeros((), dtype=rows.dtype)), 0
     if targets.shape != (n,):
         raise DimensionError("one target id per row required")
-    table = (params["tok_emb"] if config.tied_lm_head
-             else T.transpose(params["lm_head"], (1, 0)))
-    return T.softcapped_cross_entropy(rows, table, targets, config.softcap_alpha), n
+    return T.softcapped_cross_entropy(rows, params["tok_emb"], targets, SOFTCAP_ALPHA), n
 
 
 def quantile_head(params: dict[str, Tensor], config: ModelConfig, rows: Tensor) -> Tensor:
     """RMSNorm + bias-free projection of [N, d] rows to [N, P, Q]."""
-    normed = T.rmsnorm(rows, params["qhead_norm"], config.norm_eps)
+    normed = T.rmsnorm(rows, params["qhead_norm"], NORM_EPS)
     flat = T.matmul(normed, params["quantile_head"])
     return T.reshape(flat, (rows.shape[0], config.patch_len, config.n_quantiles))
 

@@ -45,14 +45,6 @@ def mae(forecast: np.ndarray, target: np.ndarray) -> float:
     return float(np.mean(np.abs(forecast - target)))
 
 
-def nmae(forecast: np.ndarray, target: np.ndarray) -> float:
-    """MAE / mean(|target|); NaN when the target mass is zero."""
-    denom = float(np.mean(np.abs(target)))
-    if denom == 0.0:
-        return float("nan")
-    return mae(forecast, target) / denom
-
-
 def mase(forecast: np.ndarray, target: np.ndarray, train_context: np.ndarray,
          season: int = 1) -> float:
     """MAE scaled by the in-sample one-step seasonal-naive MAE.

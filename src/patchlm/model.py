@@ -21,6 +21,10 @@ from . import tensor as T
 from .errors import CacheError, ConfigError, DataError, DimensionError
 from .tensor import Tensor
 
+ROPE_BASE = 5.0e5
+SOFTCAP_ALPHA = 15.0
+NORM_EPS = 1e-6
+
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -32,11 +36,7 @@ class ModelConfig:
     patch_len: int = 8
     n_quantiles: int = 21
     vocab_size: int = 4096
-    rope_base: float = 5.0e5
-    softcap_alpha: float = 15.0
     max_seq: int = 256
-    tied_lm_head: bool = True
-    norm_eps: float = 1e-6
 
     def __post_init__(self):
         if self.n_q_heads % self.n_kv_heads != 0:
@@ -114,8 +114,6 @@ def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
         "qhead_norm": (d,),
         "quantile_head": (d, config.patch_len * config.n_quantiles),
     }
-    if not config.tied_lm_head:
-        shapes["lm_head"] = (d, config.vocab_size)
     for i in range(config.n_layers):
         p = f"blocks.{i}."
         shapes[p + "attn_norm"] = (d,)
@@ -132,7 +130,7 @@ def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
-ZERO_INIT_SUFFIXES = ("wo", "w3", "quantile_head", "lm_head")
+ZERO_INIT_SUFFIXES = ("wo", "w3", "quantile_head")
 
 
 def init_params(config: ModelConfig, seed: int = 0, dtype=np.float32) -> dict[str, Tensor]:
@@ -250,13 +248,13 @@ def embed_sequence(params: dict[str, Tensor], config: ModelConfig,
             raise DimensionError(f"patch features must be 4P={4 * config.patch_len} wide")
         feats = Tensor(ts_feats.astype(params["patch_proj"].data.dtype))
         proj = T.matmul(feats, params["patch_proj"])
-        proj = T.rmsnorm(proj, params["patch_norm"], config.norm_eps)
+        proj = T.rmsnorm(proj, params["patch_norm"], NORM_EPS)
         pieces.append(T.scatter_rows(n, ts_pos, proj))
     if not pieces:
         raise DataError("empty layout")
     flat = pieces[0] if len(pieces) == 1 else T.add(pieces[0], pieces[1])
     hidden = T.reshape(flat, (B, S, d))
-    return T.rmsnorm(hidden, params["post_emb_norm"], config.norm_eps)
+    return T.rmsnorm(hidden, params["post_emb_norm"], NORM_EPS)
 
 
 def _split_heads(x: Tensor, n_heads: int, head_dim: int) -> Tensor:
@@ -282,8 +280,8 @@ def attention_gqa(params: dict[str, Tensor], config: ModelConfig, layer: int,
     v = _split_heads(T.reshape(T.matmul(flat, params[p + "wv"]), (B, S, -1)),
                      config.n_kv_heads, hd)
 
-    q = rope_apply(T.rmsnorm(q, params[p + "q_norm"], config.norm_eps), positions, config.rope_base)
-    k = rope_apply(T.rmsnorm(k, params[p + "k_norm"], config.norm_eps), positions, config.rope_base)
+    q = rope_apply(T.rmsnorm(q, params[p + "q_norm"], NORM_EPS), positions, ROPE_BASE)
+    k = rope_apply(T.rmsnorm(k, params[p + "k_norm"], NORM_EPS), positions, ROPE_BASE)
 
     if cache is not None:
         if T.grad_enabled() and (x.requires_grad or x._rules):
@@ -298,9 +296,9 @@ def attention_gqa(params: dict[str, Tensor], config: ModelConfig, layer: int,
 def block_forward(params: dict[str, Tensor], config: ModelConfig, layer: int,
                   hidden: Tensor, cache: Optional[KVCache] = None) -> Tensor:
     p = f"blocks.{layer}."
-    attn_in = T.rmsnorm(hidden, params[p + "attn_norm"], config.norm_eps)
+    attn_in = T.rmsnorm(hidden, params[p + "attn_norm"], NORM_EPS)
     hidden = T.add(hidden, attention_gqa(params, config, layer, attn_in, cache))
-    mlp_in = T.rmsnorm(hidden, params[p + "mlp_norm"], config.norm_eps)
+    mlp_in = T.rmsnorm(hidden, params[p + "mlp_norm"], NORM_EPS)
     B, S, d = mlp_in.shape
     flat = T.reshape(mlp_in, (B * S, d))
     gate = T.silu(T.matmul(flat, params[p + "w1"]))
@@ -317,13 +315,10 @@ def forward_hidden(params: dict[str, Tensor], config: ModelConfig,
         hidden = block_forward(params, config, layer, hidden, cache)
     if cache is not None:
         cache.advance(layouts[0].length)
-    return T.rmsnorm(hidden, params["final_norm"], config.norm_eps)
+    return T.rmsnorm(hidden, params["final_norm"], NORM_EPS)
 
 
 def text_logits(params: dict[str, Tensor], config: ModelConfig, rows: Tensor) -> Tensor:
-    """Vocabulary logits for [N, d] rows: tied (or untied) head + soft cap."""
-    if config.tied_lm_head:
-        logits = T.matmul(rows, T.transpose(params["tok_emb"], (1, 0)))
-    else:
-        logits = T.matmul(rows, params["lm_head"])
-    return soft_cap(logits, config.softcap_alpha)
+    """Vocabulary logits for [N, d] rows: tied head + soft cap."""
+    logits = T.matmul(rows, T.transpose(params["tok_emb"], (1, 0)))
+    return soft_cap(logits, SOFTCAP_ALPHA)

@@ -7,9 +7,9 @@ coefficients are a tuned schedule: the classic single-tuple quintic
 oscillates its singular values around ~{0.70, 1.11} and cannot land the
 whole spectrum inside [0.7, 1.3] at exactly five steps.
 
-AdamW groups: token embedding @ 0.2; untied LM head @ 0.004 (when
-present); patch projection + quantile head + every RMSNorm scale @ 0.002;
-betas (0.8, 0.95), eps 1e-10, weight decay 0.  AdamW learning rates scale
+AdamW groups: token embedding (also the tied LM head) @ 0.2; patch
+projection + quantile head + every RMSNorm scale @ 0.002; betas
+(0.8, 0.95), eps 1e-10, no weight decay.  AdamW learning rates scale
 by sqrt(768/d) to keep update magnitudes steady across widths.  These
 values are fixed module constants, not settings.
 """
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, DataError, NumericError
 from .model import ModelConfig
 from .tensor import Tensor
 
@@ -38,7 +38,6 @@ NS_COEFFS: tuple[tuple[float, float, float], ...] = (
 MUON_LR = 0.02
 MUON_MOMENTUM = 0.95
 EMBED_LR = 0.2
-HEAD_LR = 0.004
 REST_LR = 0.002
 ADAM_BETAS = (0.8, 0.95)
 ADAM_EPS = 1e-10
@@ -71,8 +70,8 @@ def muon_step(param: np.ndarray, grad: np.ndarray, buf: np.ndarray, lr: float) -
 
 
 def adamw_step(param: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray,
-               t: int, lr: float, weight_decay: float = 0.0) -> None:
-    """Bias-corrected AdamW update at step t (1-based)."""
+               t: int, lr: float) -> None:
+    """Bias-corrected Adam update at step t (1-based), without weight decay."""
     b1, b2 = ADAM_BETAS
     m *= b1
     m += (1 - b1) * grad
@@ -80,8 +79,6 @@ def adamw_step(param: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray
     v += (1 - b2) * grad * grad
     m_hat = m / (1 - b1 ** t)
     v_hat = v / (1 - b2 ** t)
-    if weight_decay:
-        param -= lr * weight_decay * param
     param -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
@@ -117,16 +114,13 @@ MUON_SUFFIXES = ("wq", "wk", "wv", "wo", "w1", "w2", "w3")
 
 def build_param_groups(params: dict[str, Tensor]) -> dict[str, list[str]]:
     """Partition every trainable tensor into exactly one optimizer group."""
-    groups: dict[str, list[str]] = {"muon": [], "adamw_embed": [], "adamw_head": [],
-                                    "adamw_rest": []}
+    groups: dict[str, list[str]] = {"muon": [], "adamw_embed": [], "adamw_rest": []}
     for name in sorted(params):
         leaf = name.rsplit(".", 1)[-1]
         if name.startswith("blocks.") and leaf in MUON_SUFFIXES:
             groups["muon"].append(name)
         elif name == "tok_emb":
             groups["adamw_embed"].append(name)
-        elif name == "lm_head":
-            groups["adamw_head"].append(name)
         else:
             groups["adamw_rest"].append(name)
     assigned = [n for names in groups.values() for n in names]
@@ -145,13 +139,12 @@ class Optimizer:
         self.group_lrs = {
             "muon": MUON_LR,
             "adamw_embed": EMBED_LR * adam_scale,
-            "adamw_head": HEAD_LR * adam_scale,
             "adamw_rest": REST_LR * adam_scale,
         }
         self.state: dict[str, dict[str, np.ndarray]] = {}
         for name in self.groups["muon"]:
             self.state[name] = {"buf": np.zeros_like(params[name].data)}
-        for group in ("adamw_embed", "adamw_head", "adamw_rest"):
+        for group in ("adamw_embed", "adamw_rest"):
             for name in self.groups[group]:
                 self.state[name] = {"m": np.zeros_like(params[name].data),
                                     "v": np.zeros_like(params[name].data)}
@@ -166,7 +159,7 @@ class Optimizer:
                 continue
             muon_step(p.data, p.grad, self.state[name]["buf"],
                       lr=self.group_lrs["muon"] * lr_mult)
-        for group in ("adamw_embed", "adamw_head", "adamw_rest"):
+        for group in ("adamw_embed", "adamw_rest"):
             for name in self.groups[group]:
                 p = self.params[name]
                 if p.grad is None:
@@ -192,8 +185,8 @@ class Optimizer:
             for key in st:
                 flat = f"opt.{name}.{key}"
                 if flat not in tensors:
-                    raise ConfigError(f"checkpoint missing optimizer buffer {flat}")
+                    raise DataError(f"checkpoint missing optimizer buffer {flat}")
                 if tensors[flat].shape != st[key].shape:
-                    raise ConfigError(f"optimizer buffer {flat} has wrong shape")
+                    raise DataError(f"optimizer buffer {flat} has wrong shape")
                 st[key] = tensors[flat].copy()
         self.t = t

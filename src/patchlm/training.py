@@ -26,7 +26,7 @@ from . import codec, data, losses, synth
 from . import model as M
 from . import tensor as T
 from .bpe import BpeVocab
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 from .optim import Optimizer, Schedule
 from .tensor import Tensor
 
@@ -225,14 +225,16 @@ class Trainer:
     @classmethod
     def load(cls, path: str, sources: Optional[DataSources] = None) -> "Trainer":
         config, tensors, extra = ckpt.load_checkpoint(path)
-        params = ckpt.tensors_to_params(
-            {k: v for k, v in tensors.items() if k.startswith("param.")}, "param.")
-        trainer = cls(config, params=params)
+        trainer = cls(config, params=ckpt.model_params(config, tensors))
+        try:
+            opt_t = int(extra["opt_t"])
+            trainer.step = int(extra["step"])
+            trainer.tokens_seen = int(extra["tokens_seen"])
+            trainer.rng.bit_generator.state = extra["rng_state"]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DataError(f"{path}: training state missing or malformed ({exc})") from exc
         trainer.optimizer.load_state_tensors(
-            {k: v for k, v in tensors.items() if k.startswith("opt.")}, extra["opt_t"])
-        trainer.step = extra["step"]
-        trainer.tokens_seen = extra["tokens_seen"]
-        trainer.rng.bit_generator.state = extra["rng_state"]
+            {k: v for k, v in tensors.items() if k.startswith("opt.")}, opt_t)
         if sources and sources.text_stream is not None:
             sources.text_stream.pos = extra.get("text_pos", 0)
         return trainer

@@ -1,8 +1,13 @@
+import dataclasses
+import json
+import struct
+
 import numpy as np
 import pytest
 
 from patchlm import checkpoint as C
 from patchlm import model as M
+from patchlm import training
 from patchlm.errors import DataError
 
 
@@ -29,8 +34,6 @@ def test_roundtrip_bit_exact(tmp_path):
 
 
 def test_header_is_json_manifest(tmp_path):
-    import json
-    import struct
     cfg = M.ModelConfig(n_layers=1, d_model=16, n_q_heads=2, n_kv_heads=1,
                         head_dim=8, patch_len=4, n_quantiles=5, vocab_size=32, max_seq=16)
     path = str(tmp_path / "m.ckpt")
@@ -62,3 +65,65 @@ def test_unsupported_dtype_rejected(tmp_path):
                         head_dim=8, patch_len=4, n_quantiles=5, vocab_size=32, max_seq=16)
     with pytest.raises(DataError):
         C.save_checkpoint(str(tmp_path / "x.ckpt"), cfg, {"x": np.ones(3, dtype=np.int32)})
+
+
+TINY = M.ModelConfig(n_layers=1, d_model=16, n_q_heads=2, n_kv_heads=1,
+                     head_dim=8, patch_len=4, n_quantiles=5, vocab_size=32, max_seq=16)
+
+
+def _write_raw(path, manifest: bytes, payload: bytes = b""):
+    with open(path, "wb") as fh:
+        fh.write(struct.pack("<Q", len(manifest)) + manifest + payload)
+
+
+def _manifest(**overrides) -> bytes:
+    manifest = {"config": dataclasses.asdict(TINY),
+                "tensors": {"x": {"dtype": "f4", "shape": [2], "offset": 0}}, "extra": {}}
+    manifest.update(overrides)
+    return json.dumps(manifest).encode()
+
+
+def test_config_from_an_older_version_is_data_error(tmp_path):
+    # the fields that have since become module constants
+    old = dict(dataclasses.asdict(TINY), rope_base=5e5, softcap_alpha=15.0,
+               tied_lm_head=True, norm_eps=1e-6)
+    path = str(tmp_path / "old.ckpt")
+    _write_raw(path, _manifest(config=old), np.ones(2, dtype="<f4").tobytes())
+    with pytest.raises(DataError, match="rope_base"):
+        C.load_checkpoint(path)
+
+
+def test_header_longer_than_file_is_data_error(tmp_path):
+    path = tmp_path / "garbage.ckpt"
+    path.write_bytes(b"garbage\n")
+    with pytest.raises(DataError, match="exceeds"):
+        C.load_checkpoint(str(path))
+
+
+def test_manifest_not_json_is_data_error(tmp_path):
+    path = str(tmp_path / "notjson.ckpt")
+    _write_raw(path, b"{not json")
+    with pytest.raises(DataError, match="JSON"):
+        C.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("drop", ["config", "tensors"])
+def test_manifest_without_part_is_data_error(tmp_path, drop):
+    manifest = json.loads(_manifest())
+    del manifest[drop]
+    path = str(tmp_path / "partial.ckpt")
+    _write_raw(path, json.dumps(manifest).encode(), np.ones(2, dtype="<f4").tobytes())
+    with pytest.raises(DataError, match="config"):
+        C.load_checkpoint(path)
+
+
+def test_params_that_do_not_fit_the_config_are_data_error(tmp_path):
+    params = M.init_params(dataclasses.replace(TINY, n_quantiles=3), seed=0)
+    tensors = {f"param.{k}": v for k, v in C.params_to_tensors(params).items()}
+    with pytest.raises(DataError, match="quantile_head"):
+        C.model_params(TINY, tensors)
+    path = str(tmp_path / "misfit.ckpt")
+    C.save_checkpoint(path, TINY, tensors, {"step": 0, "tokens_seen": 0, "opt_t": 0})
+    with pytest.raises(DataError, match="quantile_head"):
+        training.Trainer.load(path)
+

@@ -1,10 +1,16 @@
 import json
 import os
 
+import dataclasses
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from patchlm import codec
+from patchlm import bpe, checkpoint, codec
+from patchlm import model as M
 from patchlm.cli import dispatch
 
 
@@ -196,3 +202,113 @@ def test_manifest_identical_for_identical_runs(workdir):
     m2 = json.load(open("s2.jsonl.manifest.json"))
     assert m1["config_hash"] == m2["config_hash"]
     assert list(m1["outputs"].values()) == list(m2["outputs"].values())
+
+
+# -- malformed and missing inputs -------------------------------------------------
+
+TINY = M.ModelConfig(n_layers=1, d_model=16, n_q_heads=2, n_kv_heads=1, head_dim=8,
+                     patch_len=4, n_quantiles=3, vocab_size=32, max_seq=32)
+
+
+def _write_model(path, config=TINY, tensor_config=TINY):
+    params = M.init_params(tensor_config, seed=0)
+    tensors = {f"param.{k}": v for k, v in checkpoint.params_to_tensors(params).items()}
+    checkpoint.save_checkpoint(str(path), config, tensors)
+
+
+@pytest.fixture()
+def inputs(workdir):
+    """A tiny checkpoint, a two-series file and a vocabulary in the work dir."""
+    _write_model(workdir / "m.ckpt")
+    rng = np.random.default_rng(0)
+    codec.write_series_jsonl("s.jsonl", [codec.RawSeries(rng.normal(size=12), series_id=f"s{i}")
+                                         for i in range(2)])
+    bpe.save_vocab(bpe.bpe_train([b"abab abab"], 260), "v.json")
+    (workdir / "msg.txt").write_bytes(b"abab")
+    return workdir
+
+
+@pytest.mark.parametrize("argv", [
+    ["tokenize", "encode", "--vocab", "nope.json", "--input", "msg.txt", "--out", "o.json"],
+    ["tokenize", "encode", "--vocab", "v.json", "--input", "nope.txt", "--out", "o.json"],
+    ["forecast", "--ckpt", "m.ckpt", "--input", "nope.jsonl", "--horizon", "4",
+     "--out", "o.jsonl"],
+    ["embed", "--ckpt", "m.ckpt", "--input", "nope.jsonl", "--out", "o.jsonl"],
+], ids=["encode-vocab", "encode-input", "forecast-input", "embed-input"])
+def test_missing_input_file_exit_3(inputs, argv, capsys):
+    assert run(*argv) == 3
+    assert "nope" in capsys.readouterr().err
+
+
+def test_vocab_not_json_exit_3(inputs):
+    (inputs / "bad.json").write_text("{not json")
+    assert run("tokenize", "encode", "--vocab", "bad.json", "--input", "msg.txt",
+               "--out", "o.json") == 3
+
+
+@pytest.mark.parametrize("text", ["{not json", "[1, 2]", '{"ids": [1, "x"]}', '{"ids": 5}'])
+def test_malformed_ids_file_exit_3(inputs, text):
+    (inputs / "ids.json").write_text(text)
+    assert run("tokenize", "decode", "--vocab", "v.json", "--input", "ids.json",
+               "--out", "o.txt") == 3
+
+
+def test_checkpoint_of_older_version_exit_3(inputs, capsys):
+    # a manifest written before rope_base etc. became constants
+    raw = (inputs / "m.ckpt").read_bytes()
+    (n,) = struct.unpack("<Q", raw[:8])
+    manifest = json.loads(raw[8:8 + n])
+    manifest["config"].update(rope_base=5e5, softcap_alpha=15.0, tied_lm_head=True,
+                              norm_eps=1e-6)
+    blob = json.dumps(manifest).encode()
+    (inputs / "old.ckpt").write_bytes(struct.pack("<Q", len(blob)) + blob + raw[8 + n:])
+    assert run("embed", "--ckpt", "old.ckpt", "--input", "s.jsonl", "--out", "e.jsonl") == 3
+    assert "rope_base" in capsys.readouterr().err
+
+
+def test_checkpoint_config_not_fitting_tensors_exit_3(inputs, capsys):
+    _write_model(inputs / "q.ckpt", config=dataclasses.replace(TINY, n_quantiles=5))
+    assert run("forecast", "--ckpt", "q.ckpt", "--input", "s.jsonl", "--horizon", "4",
+               "--out", "f.jsonl") == 3
+    assert "quantile_head" in capsys.readouterr().err
+
+
+def test_label_record_without_label_exit_3(inputs, capsys):
+    assert run("embed", "--ckpt", "m.ckpt", "--input", "s.jsonl", "--out", "e.jsonl") == 0
+    (inputs / "labels.jsonl").write_text('{"id": "s0", "label": 0}\n{"id": "s1"}\n')
+    assert run("probe", "--embeddings", "e.jsonl", "--labels", "labels.jsonl",
+               "--out", "p.json") == 3
+    err = capsys.readouterr().err
+    assert "labels.jsonl" in err and "'label'" in err
+
+
+def test_truth_record_without_context_exit_3(inputs, capsys):
+    assert run("forecast", "--ckpt", "m.ckpt", "--input", "s.jsonl", "--horizon", "4",
+               "--out", "f.jsonl") == 0
+    with open("truth.jsonl", "w") as fh:
+        for i in range(2):
+            fh.write(json.dumps({"id": f"s{i}", "target": [1.0, 2.0, 3.0, 4.0]}) + "\n")
+    assert run("eval", "forecast", "--pred", "f.jsonl", "--truth", "truth.jsonl",
+               "--out", "r.json") == 3
+    err = capsys.readouterr().err
+    assert "truth.jsonl" in err and "'context'" in err
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_damaged_checkpoint_never_escapes_embed(inputs, data):
+    """Truncated or byte-flipped checkpoints end in an exit code, never a traceback."""
+    raw = (inputs / "m.ckpt").read_bytes()
+    (n,) = struct.unpack("<Q", raw[:8])
+    if data.draw(st.booleans(), label="truncate"):
+        damaged = raw[:data.draw(st.integers(0, len(raw) - 1), label="cut")]
+    else:
+        damaged = bytearray(raw)
+        # most flips land in the header and manifest, where the structure lives
+        where = st.integers(0, 8 + n - 1) | st.integers(0, len(raw) - 1)
+        for pos in data.draw(st.lists(where, min_size=1, max_size=3), label="flips"):
+            damaged[pos] ^= data.draw(st.integers(1, 255), label="xor")
+    (inputs / "damaged.ckpt").write_bytes(bytes(damaged))
+    code = run("embed", "--ckpt", "damaged.ckpt", "--input", "s.jsonl", "--out", "e.jsonl")
+    assert code in (0, 2, 3, 4)

@@ -70,8 +70,8 @@ def test_stats_ignore_nan_bit_identical():
 
 
 def test_time_ramp_values():
-    assert np.allclose(codec.build_time_ramp(4), [-0.75, -0.5, -0.25, 0.0])
-    assert np.array_equal(codec.build_time_ramp(1), [0.0])
+    assert np.allclose(codec.extend_time_ramp(4, 0, 4), [-0.75, -0.5, -0.25, 0.0])
+    assert np.array_equal(codec.extend_time_ramp(1, 0, 1), [0.0])
 
 
 def test_time_ramp_extends_past_end():
@@ -111,7 +111,7 @@ def test_feature_block_order():
     pb = codec.patchify(codec.RawSeries(x), patch_len=4)
     P = 4
     r, v, m, c = (pb.features[0][i * P:(i + 1) * P] for i in range(4))
-    assert np.allclose(r, codec.build_time_ramp(4))
+    assert np.allclose(r, codec.extend_time_ramp(4, 0, 4))
     # constant series: sigma clamps, values normalize to 0
     assert np.allclose(v, 0.0)
     assert np.allclose(m, 1.0)
@@ -168,3 +168,15 @@ def test_record_validation():
         codec.series_from_record({"id": "x"})
     with pytest.raises(DataError):
         codec.series_from_record({"values": [[1.0, 2.0], [1.0]]})
+
+
+@pytest.mark.parametrize("values", ["abc", [1, "x", 3], 5, [[1.0, 2.0], "ab"], [True, 2.0],
+                                    [1.0, 10 ** 400]])
+def test_malformed_values_are_data_errors_naming_file_and_line(tmp_path, values):
+    with pytest.raises(DataError, match="'values'"):
+        codec.series_from_record({"id": "x", "values": values})
+    path = tmp_path / "bad.jsonl"
+    path.write_text(json.dumps({"id": "ok", "values": [1.0]}) + "\n"
+                    + json.dumps({"id": "x", "values": values}) + "\n")
+    with pytest.raises(DataError, match=r"bad\.jsonl:2: .*'values'"):
+        list(codec.read_series_jsonl(str(path)))

@@ -1,7 +1,7 @@
 """Fused ops against the unfused compositions they replace.
 
 The oracles below are the generic-op chains the model used before the
-fusion: tied/untied matmul -> soft cap -> log-softmax -> gather for the
+fusion: tied matmul -> soft cap -> log-softmax -> gather for the
 vocab head, and repeated K/V -> scaled scores -> causal mask -> softmax ->
 weighted values for attention.
 """
@@ -92,14 +92,12 @@ def test_ce_grad_check(n, repeated):
               [("rows", rows), ("table", table)])
 
 
-@pytest.mark.parametrize("tied", [True, False])
-def test_lm_loss_matches_text_logits_chain(tied):
+def test_lm_loss_matches_text_logits_chain():
     cfg = M.ModelConfig(n_layers=1, d_model=8, n_q_heads=2, n_kv_heads=1, head_dim=4,
-                        patch_len=2, n_quantiles=3, vocab_size=300, max_seq=16,
-                        tied_lm_head=tied)
+                        patch_len=2, n_quantiles=3, vocab_size=300, max_seq=16)
     params = M.init_params(cfg, seed=4, dtype=np.float64)
     rng = np.random.default_rng(5)
-    head = "tok_emb" if tied else "lm_head"
+    head = "tok_emb"
     params[head].data[:] = rng.normal(0, 1.5, size=params[head].shape)
     rows = t64(rng.normal(size=(23, cfg.d_model)))
     targets = rng.integers(0, cfg.vocab_size, 23)

@@ -201,16 +201,14 @@ def separable_toy(n=60, d=8, seed=0):
 
 def test_linear_probe_separates_toy_data():
     x, y = separable_toy()
-    probe = inference.train_linear_probe(
-        x, y, n_classes=2, config=inference.ProbeConfig(epochs=30, seed=1))
+    probe = inference.train_linear_probe(x, y, n_classes=2, epochs=30, seed=1)
     assert (probe.predict(x) == y).mean() == 1.0
 
 
 def test_linear_probe_deterministic():
     x, y = separable_toy(seed=2)
-    cfg = inference.ProbeConfig(epochs=10, seed=5)
-    a = inference.train_linear_probe(x, y, 2, cfg)
-    b = inference.train_linear_probe(x, y, 2, cfg)
+    a = inference.train_linear_probe(x, y, 2, epochs=10, seed=5)
+    b = inference.train_linear_probe(x, y, 2, epochs=10, seed=5)
     assert a.weight.tobytes() == b.weight.tobytes()
 
 
@@ -224,16 +222,15 @@ def test_probe_never_touches_backbone():
         for _ in range(8)
     ])
     labels = np.array([0, 1] * 4)
-    inference.train_linear_probe(embs, labels, 2, inference.ProbeConfig(epochs=5))
-    inference.train_mlp_head(embs, labels, 2, inference.MlpHeadConfig(epochs=5))
+    inference.train_linear_probe(embs, labels, 2, epochs=5)
+    inference.train_mlp_head(embs, labels, 2, epochs=5)
     for k, blob in before.items():
         assert params[k].data.tobytes() == blob
 
 
 def test_mlp_head_learns_toy_data():
     x, y = separable_toy(seed=3)
-    head = inference.train_mlp_head(
-        x, y, n_classes=2, config=inference.MlpHeadConfig(epochs=40, seed=2))
+    head = inference.train_mlp_head(x, y, n_classes=2, epochs=40, seed=2)
     assert (head.predict(x) == y).mean() >= 0.95
 
 
@@ -241,17 +238,6 @@ def test_mlp_head_class_balanced_weights_used():
     rng = np.random.default_rng(4)
     x = np.concatenate([rng.normal(-1, 0.4, (40, 6)), rng.normal(1, 0.4, (8, 6))])
     y = np.array([0] * 40 + [1] * 8)
-    head = inference.train_mlp_head(x, y, 2, inference.MlpHeadConfig(epochs=60, seed=3))
+    head = inference.train_mlp_head(x, y, 2, epochs=60, seed=3)
     preds = head.predict(x)
     assert (preds[y == 1] == 1).mean() > 0.5  # minority class not collapsed
-
-
-def test_forecast_head_fits_linear_map():
-    rng = np.random.default_rng(5)
-    x = rng.normal(size=(80, 6))
-    true_w = rng.normal(size=(6, 3))
-    targets = x @ true_w
-    head = inference.train_forecast_head(
-        x, targets, inference.ForecastHeadConfig(epochs=300, seed=0))
-    pred = head.predict(x)
-    assert np.mean((pred - targets) ** 2) < 0.05 * np.mean(targets ** 2)

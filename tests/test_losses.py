@@ -69,7 +69,7 @@ def test_lm_loss_hard_capped_confidence():
     cfg = tiny_config()
     params = M.init_params(cfg, seed=2)
     v = cfg.vocab_size
-    alpha = cfg.softcap_alpha
+    alpha = M.SOFTCAP_ALPHA
     rows = Tensor(np.zeros((1, cfg.d_model), dtype=np.float64))
     # craft a tied table whose logits soft-cap to +alpha for class 0, -alpha otherwise
     params["tok_emb"].data = np.zeros((v, cfg.d_model))

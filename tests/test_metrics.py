@@ -97,12 +97,10 @@ def test_geomean():
     assert X.aggregate_geomean([4.0, 1.0]) == pytest.approx(2.0)
 
 
-def test_mae_nmae():
+def test_mae():
     fc = np.array([1.0, 3.0])
     tg = np.array([2.0, 1.0])
     assert X.mae(fc, tg) == pytest.approx(1.5)
-    assert X.nmae(fc, tg) == pytest.approx(1.5 / 1.5)
-    assert np.isnan(X.nmae(np.ones(2), np.zeros(2)))
 
 
 def test_macro_f1_perfect_and_absent_class():

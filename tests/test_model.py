@@ -72,12 +72,6 @@ def test_init_fan_scaled_sigma():
     assert abs(params["tok_emb"].data.std() - 0.02) < 0.002
 
 
-def test_untied_head_zero_init():
-    cfg = M.ModelConfig(tied_lm_head=False)
-    params = M.init_params(cfg, seed=0)
-    assert not params["lm_head"].data.any()
-
-
 # -- rope --------------------------------------------------------------
 
 def test_rope_position_zero_identity():
@@ -159,7 +153,7 @@ def test_one_hot_token_embedding_is_table_row_normed():
     k = 7
     hidden = M.embed_sequence(params, cfg, [M.text_only_layout(np.array([k]))])
     row = params["tok_emb"].data[k].astype(np.float64)
-    expect = row / np.sqrt(np.mean(row * row) + cfg.norm_eps)
+    expect = row / np.sqrt(np.mean(row * row) + M.NORM_EPS)
     assert np.allclose(hidden.data[0, 0], expect, atol=1e-5)
 
 
@@ -205,7 +199,7 @@ def test_stack_is_identity_plus_finalnorm_at_init():
     embedded = M.embed_sequence(params, cfg, [layout]).data
     hidden = M.forward_hidden(params, cfg, [layout]).data
     d = cfg.d_model
-    expect = embedded / np.sqrt((embedded ** 2).mean(-1, keepdims=True) + cfg.norm_eps)
+    expect = embedded / np.sqrt((embedded ** 2).mean(-1, keepdims=True) + M.NORM_EPS)
     assert np.allclose(hidden, expect, atol=1e-6)
 
 

@@ -171,19 +171,11 @@ def test_param_groups_partition_census():
     assert sorted(names) == sorted(params)
     assert len(names) == len(set(names))
     assert "tok_emb" in groups["adamw_embed"]
-    assert groups["adamw_head"] == []  # tied head by default
     assert "blocks.0.wq" in groups["muon"]
     assert "blocks.1.w3" in groups["muon"]
     assert "patch_proj" in groups["adamw_rest"]
     assert "quantile_head" in groups["adamw_rest"]
     assert "blocks.0.q_norm" in groups["adamw_rest"]
-
-
-def test_param_groups_untied_head():
-    cfg = tiny_config(tied_lm_head=False)
-    params = M.init_params(cfg, seed=0)
-    groups = O.build_param_groups(params)
-    assert groups["adamw_head"] == ["lm_head"]
 
 
 def test_muon_group_is_block_matrices_only():
