@@ -16,6 +16,7 @@ KernelSynth recipe (Ansari et al., arXiv 2403.07815), not settings.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -50,12 +51,26 @@ def _params(rng: np.random.Generator, overrides: Optional[dict], **draws) -> dic
 
 # -- kernel implementations (normalized time t in [0, 1]) ----------------
 
+RFF_BLOCK = 8192  # max time steps per [R, block] buffer: 1 MB at R=32, cache-sized
+
+
 def _rff_mean_cos(w: np.ndarray, phases: np.ndarray, t: np.ndarray) -> np.ndarray:
-    # single [R, L] buffer, transformed in place: the cos calls dominate
-    angles = np.multiply.outer(w, t)
-    angles += phases[:, None]
-    np.cos(angles, out=angles)
-    return angles.mean(axis=0)
+    # one cache-sized [R, block] buffer, refilled and transformed in place per
+    # block of time steps: the cos calls dominate. Row sums then /R give the
+    # bits of the unblocked angles.mean(axis=0). Blocks are of equal width: a
+    # 1-wide tail block would be summed pairwise, with other bits.
+    n_blocks = max(1, -(-len(t) // RFF_BLOCK))
+    width = max(1, -(-len(t) // n_blocks))
+    out = np.empty(len(t), dtype=np.float32)
+    buf = np.empty((len(w), min(len(t), width)), dtype=np.float32)
+    for start in range(0, len(t), width):
+        tb = t[start:start + width]
+        angles = np.multiply.outer(w, tb, out=buf[:, :len(tb)])
+        angles += phases[:, None]
+        np.cos(angles, out=angles)
+        np.add.reduce(angles, axis=0, out=out[start:start + len(tb)])
+    out /= len(w)
+    return out
 
 
 def rbf_smooth(t, rng, overrides=None, ls_range=(0.01, 0.1), n_features=32):
@@ -142,21 +157,27 @@ def _wave_params(rng, overrides):
                    offset=lambda r: r.uniform(-1.0, 1.0))
 
 
+def _wave_frac(t, p):
+    # x - floor(x) gives np.mod(x, 1.0)'s bits at a small fraction of its cost
+    x = t / p["period"] + p["phase"]
+    return x - np.floor(x)
+
+
 def square_wave(t, rng, overrides=None):
     p = _wave_params(rng, overrides)
-    frac = np.mod(t / p["period"] + p["phase"], 1.0)
+    frac = _wave_frac(t, p)
     return p["amplitude"] * np.sign(frac - 0.5) + p["offset"]
 
 
 def triangle_wave(t, rng, overrides=None):
     p = _wave_params(rng, overrides)
-    frac = np.mod(t / p["period"] + p["phase"], 1.0)
+    frac = _wave_frac(t, p)
     return p["amplitude"] * (4.0 * np.abs(frac - 0.5) - 1.0) + p["offset"]
 
 
 def sawtooth_wave(t, rng, overrides=None):
     p = _wave_params(rng, overrides)
-    frac = np.mod(t / p["period"] + p["phase"], 1.0)
+    frac = _wave_frac(t, p)
     return p["amplitude"] * (2.0 * frac - 1.0) + p["offset"]
 
 
@@ -264,10 +285,14 @@ assert len(KERNEL_BANK) == 33
 assert len(KERNEL_CATEGORIES) == 17
 
 
+@functools.lru_cache(maxsize=8)
 def normalized_time(length: int) -> np.ndarray:
+    """The shared, read-only time grid for ``length`` (kernels never write it)."""
     if length < 2:
         raise ConfigError("synthetic series need length >= 2")
-    return np.linspace(0.0, 1.0, length, dtype=np.float32)
+    t = np.linspace(0.0, 1.0, length, dtype=np.float32)
+    t.flags.writeable = False
+    return t
 
 
 def shift_positive(x: np.ndarray) -> np.ndarray:
@@ -278,7 +303,10 @@ def shift_positive(x: np.ndarray) -> np.ndarray:
 def compose(kernel_outputs: list[np.ndarray], mode: str, rng: np.random.Generator,
             multiply_prob: float = MULTIPLY_PROB) -> np.ndarray:
     if mode == "additive":
-        out = np.sum(kernel_outputs, axis=0)
+        # in-place row sum: np.sum(axis=0)'s order and bits without stacking a copy
+        out = kernel_outputs[0].copy()
+        for k in kernel_outputs[1:]:
+            out += k
     elif mode == "mixed":
         out = kernel_outputs[0].copy()
         for k in kernel_outputs[1:]:
@@ -321,7 +349,7 @@ def sample_series_info(length: int, rng,
         raw = np.asarray(fn(t, rng), dtype=np.float32)
         outputs.append(np.clip(raw, -PRE_CLIP, PRE_CLIP))
     series = compose(outputs, mode, rng)
-    series = np.clip(series, -POST_CLIP, POST_CLIP).astype(np.float32)
+    series = np.clip(series, -POST_CLIP, POST_CLIP).astype(np.float32, copy=False)
     info = SynthInfo(kernel_names=[name for _, name, _ in chosen],
                      categories=[cat for cat, _, _ in chosen], mode=mode)
     return series, info

@@ -64,6 +64,33 @@ def test_rbf_length_scale_controls_smoothness():
     assert mean_lag1((0.1, 1.0), 1) > mean_lag1((0.01, 0.05), 1)
 
 
+@pytest.mark.parametrize("length", [2, 257, S.RFF_BLOCK, S.RFF_BLOCK + 1,
+                                    2 * S.RFF_BLOCK + 1, 4 * S.RFF_BLOCK])
+def test_rff_blocks_match_unblocked_mean(length):
+    rng = np.random.default_rng(length)
+    t = S.normalized_time(length)
+    w = rng.normal(0.0, 50.0, 32).astype(np.float32)
+    phases = rng.uniform(0.0, 2.0 * np.pi, 32).astype(np.float32)
+    angles = np.multiply.outer(w, t) + phases[:, None]
+    assert S._rff_mean_cos(w, phases, t).tobytes() == np.cos(angles).mean(axis=0).tobytes()
+
+
+def test_wave_frac_matches_mod():
+    t = S.normalized_time(4099)
+    for p in ({"period": 0.05, "phase": 0.3}, {"period": 0.37, "phase": 0.999},
+              {"period": 0.011, "phase": -3.7}):
+        frac = S._wave_frac(t, p)
+        assert frac.tobytes() == np.mod(t / p["period"] + p["phase"], 1.0).tobytes()
+
+
+def test_normalized_time_is_shared_and_read_only():
+    t = S.normalized_time(300)
+    assert t is S.normalized_time(300)
+    assert t.dtype == np.float32 and t[0] == 0.0 and t[-1] == 1.0
+    with pytest.raises(ValueError):
+        t[0] = 1.0
+
+
 def test_log_trend_clips_at_origin():
     x = S.force_kernel_series(16, 0, "log_trend", {"coef": 1.0})
     assert x[0] == -5.0  # log(0) = -inf hits the pre-combination clip
@@ -110,6 +137,14 @@ def test_compose_single_kernel_identity():
     k = rng.normal(size=32).astype(np.float32)
     assert np.array_equal(S.compose([k], "additive", rng), k)
     assert np.array_equal(S.compose([k], "mixed", rng), k)
+
+
+def test_compose_additive_matches_stacked_sum():
+    rng = np.random.default_rng(3)
+    ks = [rng.normal(0.0, 10.0 ** e, 1000).astype(np.float32) for e in range(-3, 2)]
+    out = S.compose(ks, "additive", rng)
+    assert out.tobytes() == np.sum(ks, axis=0).tobytes()
+    assert ks[0].tobytes() == np.sum(ks[:1], axis=0).tobytes()  # inputs untouched
 
 
 def test_compose_two_constants_additive():
