@@ -35,7 +35,7 @@ def corpus_ce(params, cfg, ids):
             batch = data.build_text_batch(stream, 128, 1)
             hidden = M.forward_hidden(params, cfg, batch.layouts)
             flat = T.reshape(hidden, (128, cfg.d_model))
-            ce, n = losses.lm_loss(params, cfg, flat, batch.text_targets[0])
+            ce, n = losses.lm_loss(params, flat, batch.text_targets[0])
             total += ce.item() * n
             count += n
     return total / count

@@ -64,9 +64,14 @@ def _is_count(value) -> bool:
 
 
 def _config_from(fields: dict, path: str) -> ModelConfig:
-    unknown = set(fields) - {f.name for f in dataclasses.fields(ModelConfig)}
+    names = {f.name for f in dataclasses.fields(ModelConfig)}
+    unknown = set(fields) - names
     if unknown:
         raise DataError(f"{path}: config keys {sorted(unknown)} are not in this version")
+    # a missing key would silently take its default, not the trained value
+    missing = names - set(fields)
+    if missing:
+        raise DataError(f"{path}: config lacks keys {sorted(missing)}")
     # every ModelConfig field is a positive integer
     if not all(_is_count(v) and v > 0 for v in fields.values()):
         raise DataError(f"{path}: config values must be positive integers")

@@ -1,10 +1,17 @@
 """Command line interface.
 
 Subcommands: tokenize (train/encode/decode), synth, train, forecast,
-embed, probe, eval.  Every run takes --seed, emits machine-readable
-JSON-lines (human tables only with --pretty), and writes a run manifest
-next to its primary output.  Exit codes: 0 ok, 2 config error, 3 data
-error (including a missing or unreadable input file), 4 numeric failure.
+embed, probe, eval.  Every run takes --seed and prints its result as JSON
+with --json, or as a table with --pretty.  Exit codes: 0 ok, 2 config
+error, 3 data error (including a missing or unreadable input file), 4
+numeric failure.
+
+A command only does its work and returns its output paths and result;
+``dispatch`` hashes the run, writes the manifest (``<out>.manifest.json``,
+or ``out_dir/manifest.json`` for ``train``) and prints the result.  The
+hash covers every parsed flag but --out, --json and --pretty.  A flag of
+``type=InputPath`` names a file the command reads and counts by content;
+``train`` counts its parsed run config in place of the --config path.
 """
 
 from __future__ import annotations
@@ -13,31 +20,16 @@ import argparse
 import json
 import os
 import sys
+import time
 from typing import Optional
 
 import numpy as np
 
 from . import bpe, checkpoint, codec, config as cfgmod, data, inference, losses, metrics
 from . import synth, training
+from .config import InputPath
 from .errors import ConfigError, DataError, NumericError
 from .optim import Schedule
-
-
-def _read_jsonl(path: str) -> list[dict]:
-    records = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path}:{lineno}: invalid JSON") from exc
-            if not isinstance(record, dict):
-                raise DataError(f"{path}:{lineno}: expected a JSON object")
-            records.append(record)
-    return records
 
 
 def _field(record: dict, key: str, path: str, convert=None, default=None):
@@ -62,52 +54,36 @@ def _floats(ndim: int):
     return convert
 
 
-def _write_jsonl(path: str, records) -> None:
-    with open(path, "w") as fh:
-        for record in records:
-            fh.write(json.dumps(record) + "\n")
-
-
-def _maybe_echo(args, payload: dict) -> None:
-    if getattr(args, "json", False):
+def _echo(args, payload: dict) -> None:
+    if args.json:
         print(json.dumps(payload))
-    elif getattr(args, "pretty", False):
+    elif args.pretty:
         for key, value in payload.items():
             print(f"{key:>24}: {value}")
 
 
 # -- tokenize ----------------------------------------------------------------
 
-def cmd_tokenize_train(args) -> int:
+def cmd_tokenize_train(args) -> tuple[list[str], dict]:
     docs = []
     for path in args.input:
         with open(path, "rb") as fh:
             docs.append(fh.read())
-    manifest = cfgmod.ManifestWriter("tokenize train",
-                                     {"input": args.input, "vocab_size": args.vocab_size},
-                                     args.seed)
     vocab = bpe.bpe_train(docs, args.vocab_size)
     bpe.save_vocab(vocab, args.out)
-    manifest.add_output(args.out)
-    manifest.finish()
-    _maybe_echo(args, {"vocab_size": vocab.size, "merges": len(vocab.merges), "out": args.out})
-    return 0
+    return [args.out], {"vocab_size": vocab.size, "merges": len(vocab.merges), "out": args.out}
 
 
-def cmd_tokenize_encode(args) -> int:
+def cmd_tokenize_encode(args) -> tuple[list[str], dict]:
     vocab = bpe.load_vocab(args.vocab)
     with open(args.input, "rb") as fh:
         ids = bpe.encode(fh.read(), vocab)
-    manifest = cfgmod.ManifestWriter("tokenize encode", {"vocab": args.vocab}, args.seed)
     with open(args.out, "w") as fh:
         json.dump({"ids": ids}, fh)
-    manifest.add_output(args.out)
-    manifest.finish()
-    _maybe_echo(args, {"n_tokens": len(ids), "out": args.out})
-    return 0
+    return [args.out], {"n_tokens": len(ids), "out": args.out}
 
 
-def cmd_tokenize_decode(args) -> int:
+def cmd_tokenize_decode(args) -> tuple[list[str], dict]:
     vocab = bpe.load_vocab(args.vocab)
     with open(args.input) as fh:
         try:
@@ -117,31 +93,21 @@ def cmd_tokenize_decode(args) -> int:
     if not isinstance(doc, dict):
         raise DataError(f"{args.input}: expected a JSON object")
     ids = _field(doc, "ids", args.input, lambda v: [int(t) for t in v])
-    manifest = cfgmod.ManifestWriter("tokenize decode", {"vocab": args.vocab}, args.seed)
     with open(args.out, "wb") as fh:
         fh.write(bpe.decode(ids, vocab))
-    manifest.add_output(args.out)
-    manifest.finish()
-    _maybe_echo(args, {"n_tokens": len(ids), "out": args.out})
-    return 0
+    return [args.out], {"n_tokens": len(ids), "out": args.out}
 
 
 # -- synth ----------------------------------------------------------------------
 
-def cmd_synth(args) -> int:
-    manifest = cfgmod.ManifestWriter(
-        "synth generate",
-        {"n": args.n, "len": args.len, "force_kernel": args.force_kernel}, args.seed)
+def cmd_synth(args) -> tuple[list[str], dict]:
     rng = np.random.default_rng(args.seed)
     series_list = []
     for i in range(args.n):
         values = synth.sample_series(args.len, rng, force_kernel=args.force_kernel)
         series_list.append(codec.RawSeries(values, series_id=f"synth-{i:05d}"))
-    codec.write_series_jsonl(args.out, series_list)
-    manifest.add_output(args.out)
-    manifest.finish()
-    _maybe_echo(args, {"n": args.n, "len": args.len, "out": args.out})
-    return 0
+    codec.write_jsonl(args.out, map(codec.series_to_record, series_list))
+    return [args.out], {"n": args.n, "len": args.len, "out": args.out}
 
 
 # -- train -------------------------------------------------------------------------
@@ -160,7 +126,7 @@ def _build_sources(run: cfgmod.RunConfig) -> training.DataSources:
     vocab = bpe.load_vocab(run.data.vocab)
     text_stream = _text_stream_from(run.data.text, vocab) if run.data.text else None
     if run.data.series:
-        file_series = list(codec.read_series_jsonl(run.data.series))
+        file_series = list(codec.read_jsonl(run.data.series, codec.series_from_record))
         ts_source = training.mixed_ts_source(file_series, run.data.synth_length,
                                              run.data.synthetic_batch_prob)
     else:
@@ -173,9 +139,8 @@ def _build_sources(run: cfgmod.RunConfig) -> training.DataSources:
     )
 
 
-def cmd_train(args) -> int:
-    run = cfgmod.load_run_config(args.config)
-    manifest = cfgmod.ManifestWriter("train", run, args.seed)
+def cmd_train(args) -> tuple[list[str], dict]:
+    run = args.config  # parsed by dispatch
     sources = _build_sources(run)
     os.makedirs(run.data.out_dir, exist_ok=True)
 
@@ -203,11 +168,7 @@ def cmd_train(args) -> int:
             outputs.append(ckpt_path)
     finally:
         sink.close()
-    for path in outputs:
-        manifest.add_output(path)
-    manifest.finish(os.path.join(run.data.out_dir, "manifest.json"))
-    _maybe_echo(args, {"steps": trainer.step, "out_dir": run.data.out_dir})
-    return 0
+    return outputs, {"steps": trainer.step, "out_dir": run.data.out_dir}
 
 
 # -- forecast / embed --------------------------------------------------------------
@@ -217,7 +178,7 @@ def _load_model(path: str):
     return config, checkpoint.model_params(config, tensors)
 
 
-def cmd_forecast(args) -> int:
+def cmd_forecast(args) -> tuple[list[str], dict]:
     config, params = _load_model(args.ckpt)
     text_ids: list[int] = []
     if args.text:
@@ -226,10 +187,8 @@ def cmd_forecast(args) -> int:
         vocab = bpe.load_vocab(args.vocab)
         with open(args.text, "rb") as fh:
             text_ids = bpe.encode(fh.read(), vocab) + [vocab.specials["<|ts_begin|>"]]
-    manifest = cfgmod.ManifestWriter(
-        "forecast", {"ckpt": args.ckpt, "horizon": args.horizon}, args.seed)
     records = []
-    for series in codec.read_series_jsonl(args.input):
+    for series in codec.read_jsonl(args.input, codec.series_from_record):
         results = inference.forecast_series(params, config, series, args.horizon, text_ids)
         for channel, result in enumerate(results):
             records.append({
@@ -238,26 +197,18 @@ def cmd_forecast(args) -> int:
                 "quantiles": result.quantiles.tolist(),
                 "median": result.median.tolist(),
             })
-    _write_jsonl(args.out, records)
-    manifest.add_output(args.out)
-    manifest.finish()
-    _maybe_echo(args, {"n_series": len(records), "out": args.out})
-    return 0
+    codec.write_jsonl(args.out, records)
+    return [args.out], {"n_series": len(records), "out": args.out}
 
 
-def cmd_embed(args) -> int:
+def cmd_embed(args) -> tuple[list[str], dict]:
     config, params = _load_model(args.ckpt)
-    manifest = cfgmod.ManifestWriter(
-        "embed", {"ckpt": args.ckpt, "repeat": args.repeat}, args.seed)
     records = []
-    for series in codec.read_series_jsonl(args.input):
+    for series in codec.read_jsonl(args.input, codec.series_from_record):
         emb = inference.extract_embedding(params, config, series=series, repeat=args.repeat)
         records.append({"id": series.series_id, "embedding": emb.tolist()})
-    _write_jsonl(args.out, records)
-    manifest.add_output(args.out)
-    manifest.finish()
-    _maybe_echo(args, {"n_series": len(records), "out": args.out})
-    return 0
+    codec.write_jsonl(args.out, records)
+    return [args.out], {"n_series": len(records), "out": args.out}
 
 
 # -- probe ---------------------------------------------------------------------------
@@ -265,9 +216,9 @@ def cmd_embed(args) -> int:
 def _join_by_id(embeddings_path: str, labels_path: str):
     embs = {_field(r, "id", embeddings_path, str): _field(r, "embedding", embeddings_path,
                                                            _floats(1))
-            for r in _read_jsonl(embeddings_path)}
+            for r in codec.read_jsonl(embeddings_path)}
     labels = {_field(r, "id", labels_path, str): _field(r, "label", labels_path, int)
-              for r in _read_jsonl(labels_path)}
+              for r in codec.read_jsonl(labels_path)}
     ids = sorted(set(embs) & set(labels))
     if not ids:
         raise DataError("no overlapping ids between embeddings and labels")
@@ -276,11 +227,9 @@ def _join_by_id(embeddings_path: str, labels_path: str):
     return x, y
 
 
-def cmd_probe(args) -> int:
+def cmd_probe(args) -> tuple[list[str], dict]:
     x, y = _join_by_id(args.embeddings, args.labels)
     n_classes = int(y.max()) + 1
-    manifest = cfgmod.ManifestWriter(
-        "probe", {"head": args.head, "epochs": args.epochs}, args.seed)
     train = inference.train_linear_probe if args.head == "linear" else inference.train_mlp_head
     head = train(x, y, n_classes, epochs=args.epochs, seed=args.seed,
                  class_balanced=args.class_balanced)
@@ -299,23 +248,18 @@ def cmd_probe(args) -> int:
     }
     with open(args.out, "w") as fh:
         json.dump(payload, fh, indent=2)
-    manifest.add_output(args.out)
-    manifest.finish()
-    _maybe_echo(args, payload)
-    return 0
+    return [args.out], payload
 
 
 # -- eval -----------------------------------------------------------------------------
 
-def cmd_eval_forecast(args) -> int:
+def cmd_eval_forecast(args) -> tuple[list[str], dict]:
     def key(record, path):
         return _field(record, "id", path, str), _field(record, "channel", path, int, default=0)
 
-    preds = {key(r, args.pred): r for r in _read_jsonl(args.pred)}
-    manifest = cfgmod.ManifestWriter(
-        "eval forecast", {"baseline": args.baseline, "season": args.season}, args.seed)
+    preds = {key(r, args.pred): r for r in codec.read_jsonl(args.pred)}
     tasks = []
-    for record in _read_jsonl(args.truth):
+    for record in codec.read_jsonl(args.truth):
         task_key = key(record, args.truth)
         if task_key not in preds:
             raise DataError(f"missing prediction for series {task_key}")
@@ -336,19 +280,15 @@ def cmd_eval_forecast(args) -> int:
     report = metrics.evaluate_forecast_tasks(tasks)
     with open(args.out, "w") as fh:
         json.dump(report.to_dict(), fh, indent=2)
-    manifest.add_output(args.out)
-    manifest.finish()
-    _maybe_echo(args, {"geomean_mase_ratio": report.geomean_mase_ratio,
-                       "geomean_wql_ratio": report.geomean_wql_ratio,
-                       "n_tasks": len(report.per_task), "n_skipped": len(report.skipped)})
-    return 0
+    return [args.out], {"geomean_mase_ratio": report.geomean_mase_ratio,
+                        "geomean_wql_ratio": report.geomean_wql_ratio,
+                        "n_tasks": len(report.per_task), "n_skipped": len(report.skipped)}
 
 
-def cmd_eval_cls(args) -> int:
-    preds = {_field(r, "id", args.pred, str): r for r in _read_jsonl(args.pred)}
-    manifest = cfgmod.ManifestWriter("eval cls", {}, args.seed)
+def cmd_eval_cls(args) -> tuple[list[str], dict]:
+    preds = {_field(r, "id", args.pred, str): r for r in codec.read_jsonl(args.pred)}
     y_true, y_pred, scores = [], [], []
-    for record in _read_jsonl(args.truth):
+    for record in codec.read_jsonl(args.truth):
         rid = _field(record, "id", args.truth, str)
         if rid not in preds:
             raise DataError(f"missing prediction for id {rid}")
@@ -373,10 +313,7 @@ def cmd_eval_cls(args) -> int:
         payload["auc"] = None
     with open(args.out, "w") as fh:
         json.dump(payload, fh, indent=2)
-    manifest.add_output(args.out)
-    manifest.finish()
-    _maybe_echo(args, payload)
-    return 0
+    return [args.out], payload
 
 
 # -- parser ---------------------------------------------------------------------------
@@ -396,28 +333,28 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--pretty", action="store_true", help="human-readable tables")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    tok = sub.add_parser("tokenize").add_subparsers(dest="tok_command", required=True)
+    tok = sub.add_parser("tokenize").add_subparsers(dest="action", required=True)
     tok_train = tok.add_parser("train")
-    tok_train.add_argument("--input", nargs="+", required=True)
+    tok_train.add_argument("--input", type=InputPath, nargs="+", required=True)
     tok_train.add_argument("--vocab-size", type=int, required=True)
     tok_train.add_argument("--out", required=True)
     _common_flags(tok_train)
     tok_train.set_defaults(fn=cmd_tokenize_train)
     tok_encode = tok.add_parser("encode")
-    tok_encode.add_argument("--vocab", required=True)
-    tok_encode.add_argument("--input", required=True)
+    tok_encode.add_argument("--vocab", type=InputPath, required=True)
+    tok_encode.add_argument("--input", type=InputPath, required=True)
     tok_encode.add_argument("--out", required=True)
     _common_flags(tok_encode)
     tok_encode.set_defaults(fn=cmd_tokenize_encode)
     tok_decode = tok.add_parser("decode")
-    tok_decode.add_argument("--vocab", required=True)
-    tok_decode.add_argument("--input", required=True)
+    tok_decode.add_argument("--vocab", type=InputPath, required=True)
+    tok_decode.add_argument("--input", type=InputPath, required=True)
     tok_decode.add_argument("--out", required=True)
     _common_flags(tok_decode)
     tok_decode.set_defaults(fn=cmd_tokenize_decode)
 
     syn = sub.add_parser("synth")
-    syn_sub = syn.add_subparsers(dest="synth_command", required=True)
+    syn_sub = syn.add_subparsers(dest="action", required=True)
     syn_gen = syn_sub.add_parser("generate")
     syn_gen.add_argument("--n", type=int, required=True)
     syn_gen.add_argument("--len", type=int, required=True)
@@ -428,34 +365,34 @@ def build_parser() -> argparse.ArgumentParser:
 
     train = sub.add_parser("train")
     train.add_argument("--config", required=True)
-    train.add_argument("--resume", default=None)
+    train.add_argument("--resume", type=InputPath, default=None)
     train.add_argument("--stage", choices=("1", "2", "all"), default="all")
     _common_flags(train)
     train.set_defaults(fn=cmd_train)
 
     fc = sub.add_parser("forecast")
-    fc.add_argument("--ckpt", required=True)
-    fc.add_argument("--input", required=True)
+    fc.add_argument("--ckpt", type=InputPath, required=True)
+    fc.add_argument("--input", type=InputPath, required=True)
     fc.add_argument("--horizon", type=int, required=True)
-    fc.add_argument("--text", default=None)
-    fc.add_argument("--vocab", default=None)
+    fc.add_argument("--text", type=InputPath, default=None)
+    fc.add_argument("--vocab", type=InputPath, default=None)
     fc.add_argument("--out", required=True)
     _common_flags(fc)
     fc.set_defaults(fn=cmd_forecast)
 
     emb = sub.add_parser("embed")
-    emb.add_argument("--ckpt", required=True)
-    emb.add_argument("--input", required=True)
+    emb.add_argument("--ckpt", type=InputPath, required=True)
+    emb.add_argument("--input", type=InputPath, required=True)
     emb.add_argument("--repeat", type=int, default=1)
     emb.add_argument("--out", required=True)
     _common_flags(emb)
     emb.set_defaults(fn=cmd_embed)
 
     probe = sub.add_parser("probe")
-    probe.add_argument("--embeddings", required=True)
-    probe.add_argument("--labels", required=True)
-    probe.add_argument("--test-embeddings", default=None)
-    probe.add_argument("--test-labels", default=None)
+    probe.add_argument("--embeddings", type=InputPath, required=True)
+    probe.add_argument("--labels", type=InputPath, required=True)
+    probe.add_argument("--test-embeddings", type=InputPath, default=None)
+    probe.add_argument("--test-labels", type=InputPath, default=None)
     probe.add_argument("--head", choices=("linear", "mlp"), default="linear")
     probe.add_argument("--epochs", type=int, default=200)
     probe.add_argument("--class-balanced", action="store_true")
@@ -463,18 +400,18 @@ def build_parser() -> argparse.ArgumentParser:
     _common_flags(probe)
     probe.set_defaults(fn=cmd_probe)
 
-    ev = sub.add_parser("eval").add_subparsers(dest="eval_command", required=True)
+    ev = sub.add_parser("eval").add_subparsers(dest="action", required=True)
     ev_fc = ev.add_parser("forecast")
-    ev_fc.add_argument("--pred", required=True)
-    ev_fc.add_argument("--truth", required=True)
+    ev_fc.add_argument("--pred", type=InputPath, required=True)
+    ev_fc.add_argument("--truth", type=InputPath, required=True)
     ev_fc.add_argument("--baseline", choices=("seasonal-naive",), default="seasonal-naive")
     ev_fc.add_argument("--season", type=int, default=0, help="0 = derive from freq tag")
     ev_fc.add_argument("--out", required=True)
     _common_flags(ev_fc)
     ev_fc.set_defaults(fn=cmd_eval_forecast)
     ev_cls = ev.add_parser("cls")
-    ev_cls.add_argument("--pred", required=True)
-    ev_cls.add_argument("--truth", required=True)
+    ev_cls.add_argument("--pred", type=InputPath, required=True)
+    ev_cls.add_argument("--truth", type=InputPath, required=True)
     ev_cls.add_argument("--out", required=True)
     _common_flags(ev_cls)
     ev_cls.set_defaults(fn=cmd_eval_cls)
@@ -482,11 +419,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# where the output goes and how it is shown do not identify a run; the
+# command name and the seed are hashed on their own
+_NOT_HASHED = ("command", "action", "fn", "seed", "out", "json", "pretty")
+
+
 def dispatch(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    command = " ".join(filter(None, (args.command, getattr(args, "action", None))))
     try:
-        return args.fn(args)
+        start = time.monotonic()
+        if args.fn is cmd_train:
+            # a training run is identified by its parsed config, not the
+            # config file's name; its [data] paths are InputPaths
+            args.config = cfgmod.load_run_config(args.config)
+            manifest_path = os.path.join(args.config.data.out_dir, "manifest.json")
+        else:
+            manifest_path = args.out + ".manifest.json"
+        flags = {k: v for k, v in vars(args).items() if k not in _NOT_HASHED}
+        # hashed before the command runs: train --resume may overwrite its input
+        config_hash, inputs = cfgmod.run_identity(command, flags, args.seed)
+        outputs, payload = args.fn(args)
+        cfgmod.write_manifest(manifest_path, command, config_hash, args.seed, inputs, outputs,
+                              time.monotonic() - start)
+        _echo(args, payload)
+        return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Any, Callable, Iterator, Optional
 
 import numpy as np
 
@@ -235,24 +235,27 @@ def series_to_record(series: RawSeries) -> dict:
     return record
 
 
-def read_series_jsonl(path: str) -> Iterator[RawSeries]:
+def read_jsonl(path: str, convert: Optional[Callable[[dict], Any]] = None) -> Iterator:
+    """The JSON object on each non-blank line of ``path``, passed through
+    ``convert`` when given; a line that is not a JSON object, or that
+    ``convert`` rejects with a DataError, is a DataError naming file:line."""
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
+            if not line.strip():
                 continue
             try:
                 record = json.loads(line)
+                if not isinstance(record, dict):
+                    raise DataError("expected a JSON object")
+                item = convert(record) if convert else record
             except json.JSONDecodeError as exc:
                 raise DataError(f"{path}:{lineno}: invalid JSON ({exc})") from exc
-            try:
-                series = series_from_record(record)
             except DataError as exc:
                 raise DataError(f"{path}:{lineno}: {exc}") from exc
-            yield series
+            yield item
 
 
-def write_series_jsonl(path: str, series_list) -> None:
+def write_jsonl(path: str, records) -> None:
     with open(path, "w") as fh:
-        for s in series_list:
-            fh.write(json.dumps(series_to_record(s)) + "\n")
+        for record in records:
+            fh.write(json.dumps(record) + "\n")

@@ -1,9 +1,15 @@
-"""Run configuration: a small TOML-style parser, run configs, manifests.
+"""Run configuration: a small TOML-style parser, run configs, run identity.
 
 The config file uses plain ``[section]`` headers with ``key = value``
 lines (ints, floats, booleans, quoted strings, and flat lists); that
 subset is all the train pipeline needs.  Sections: [model], [stage1],
-optional [stage2], [data].
+optional [stage2], [data]; a repeated section or key is a ConfigError.
+
+A run is identified by ``run_identity``: a hash of the command, the
+seed, the code version and its settings, in which every ``InputPath``
+(a file the run reads, such as a CLI input flag or a ``[data]`` path)
+stands for the SHA-256 of its content.  ``write_manifest`` records that
+hash with the input and output digests.
 """
 
 from __future__ import annotations
@@ -11,7 +17,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import time
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
@@ -53,15 +58,25 @@ def parse_toml_like(text: str) -> dict[str, dict[str, Any]]:
             current = stripped[1:-1].strip()
             if not current:
                 raise ConfigError(f"line {lineno}: empty section name")
-            sections.setdefault(current, {})
+            if current in sections:
+                raise ConfigError(f"line {lineno}: section [{current}] repeated")
+            sections[current] = {}
             continue
         if "=" not in stripped:
             raise ConfigError(f"line {lineno}: expected key = value")
         if current is None:
             raise ConfigError(f"line {lineno}: key outside any [section]")
         key, raw = stripped.split("=", 1)
-        sections[current][key.strip()] = _parse_scalar(raw, f"line {lineno}")
+        key = key.strip()
+        if key in sections[current]:
+            raise ConfigError(f"line {lineno}: key {key!r} repeated in [{current}]")
+        sections[current][key] = _parse_scalar(raw, f"line {lineno}")
     return sections
+
+
+class InputPath(str):
+    """A path naming a file the run reads; the run hash covers the file's
+    content, not its name."""
 
 
 @dataclass
@@ -100,8 +115,15 @@ def load_run_config(path: str) -> RunConfig:
     if "model" not in sections or "stage1" not in sections:
         raise ConfigError("config needs [model] and [stage1] sections")
     data_section = dict(sections.get("data", {}))
-    if isinstance(data_section.get("text"), str):
-        data_section["text"] = [data_section["text"]]
+    text = data_section.get("text", [])
+    text = [text] if isinstance(text, str) else text
+    if not (isinstance(text, list) and all(isinstance(p, str) for p in text)):
+        raise ConfigError("[data] text must be a path or a list of paths")
+    # the files the run reads, so that the run hash covers their content
+    data_section["text"] = [InputPath(p) for p in text]
+    for key in ("series", "vocab"):
+        if data_section.get(key):
+            data_section[key] = InputPath(data_section[key])
     return RunConfig(
         model=_build(ModelConfig, sections["model"], "model"),
         stage1=_build(StageConfig, sections["stage1"], "stage1"),
@@ -112,25 +134,8 @@ def load_run_config(path: str) -> RunConfig:
 
 
 # ---------------------------------------------------------------------
-# run manifests: every CLI run emits one; identical hash => identical outputs
+# run identity and manifests: identical hash => identical outputs
 # ---------------------------------------------------------------------
-
-def _canonical(obj: Any) -> Any:
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return _canonical(dataclasses.asdict(obj))
-    if isinstance(obj, dict):
-        return {k: _canonical(v) for k, v in sorted(obj.items())}
-    if isinstance(obj, (list, tuple)):
-        return [_canonical(v) for v in obj]
-    return obj
-
-
-def config_hash(command: str, config: Any, seed: Optional[int]) -> str:
-    blob = json.dumps({"command": command, "config": _canonical(config),
-                       "seed": seed, "version": __version__},
-                      sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()
-
 
 def file_digest(path: str) -> str:
     h = hashlib.sha256()
@@ -140,44 +145,52 @@ def file_digest(path: str) -> str:
     return h.hexdigest()
 
 
-@dataclass
-class RunManifest:
-    command: str
-    config_hash: str
-    seed: Optional[int]
-    code_version: str
-    wall_clock_s: float
-    outputs: dict[str, str]
+def run_identity(command: str, config: Any,
+                 seed: Optional[int]) -> tuple[str, dict[str, Optional[str]]]:
+    """(config hash, {input path: SHA-256}) of a run.
 
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
+    The hash covers the command, the seed, the code version and ``config``
+    (dataclasses, dicts, lists and scalars) with every InputPath in it
+    replaced by the SHA-256 of its file, so the same input contents under
+    other names give the same hash.  A file that cannot be read counts as
+    None; a command that reads it then fails with its own error.
+    """
+    inputs: dict[str, Optional[str]] = {}
+
+    def canonical(obj: Any) -> Any:
+        if isinstance(obj, InputPath):
+            if obj not in inputs:
+                try:
+                    inputs[obj] = file_digest(obj)
+                except OSError:
+                    inputs[obj] = None
+            return inputs[obj]
+        if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+            return canonical(dataclasses.asdict(obj))
+        if isinstance(obj, dict):
+            return {k: canonical(v) for k, v in obj.items()}
+        if isinstance(obj, (list, tuple)):
+            return [canonical(v) for v in obj]
+        return obj
+
+    blob = json.dumps({"command": command, "config": canonical(config),
+                       "seed": seed, "version": __version__},
+                      sort_keys=True).encode()
+    return hashlib.sha256(blob).hexdigest(), inputs
 
 
-class ManifestWriter:
-    """Collects run facts and writes ``<out>.manifest.json`` at the end."""
-
-    def __init__(self, command: str, config: Any, seed: Optional[int]):
-        self.command = command
-        self.hash = config_hash(command, config, seed)
-        self.seed = seed
-        self.start = time.monotonic()
-        self.outputs: list[str] = []
-
-    def add_output(self, path: str) -> None:
-        self.outputs.append(path)
-
-    def finish(self, manifest_path: Optional[str] = None) -> RunManifest:
-        manifest = RunManifest(
-            command=self.command,
-            config_hash=self.hash,
-            seed=self.seed,
-            code_version=__version__,
-            wall_clock_s=round(time.monotonic() - self.start, 3),
-            outputs={p: file_digest(p) for p in self.outputs},
-        )
-        if manifest_path is None and self.outputs:
-            manifest_path = self.outputs[0] + ".manifest.json"
-        if manifest_path:
-            with open(manifest_path, "w") as fh:
-                json.dump(manifest.to_dict(), fh, indent=2)
-        return manifest
+def write_manifest(path: str, command: str, config_hash: str, seed: Optional[int],
+                   inputs: dict[str, Optional[str]], outputs: list[str],
+                   wall_clock_s: float) -> None:
+    """Write the run manifest: identity, input digests and output digests."""
+    manifest = {
+        "command": command,
+        "config_hash": config_hash,
+        "seed": seed,
+        "code_version": __version__,
+        "wall_clock_s": round(wall_clock_s, 3),
+        "inputs": inputs,
+        "outputs": {p: file_digest(p) for p in outputs},
+    }
+    with open(path, "w") as fh:
+        json.dump(manifest, fh, indent=2)

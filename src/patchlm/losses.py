@@ -33,8 +33,8 @@ def quantile_levels(n_quantiles: int = 21, lo: float = 0.05, hi: float = 0.95) -
     return lo + step * np.arange(n_quantiles)
 
 
-def lm_loss(params: dict[str, Tensor], config: ModelConfig,
-            rows: Tensor, targets: np.ndarray) -> tuple[Tensor, int]:
+def lm_loss(params: dict[str, Tensor], rows: Tensor,
+            targets: np.ndarray) -> tuple[Tensor, int]:
     """Mean cross-entropy over [N, d] rows with next-token id targets.
 
     Returns (loss, n): with no rows the loss is a constant 0 of zero weight.

@@ -318,7 +318,7 @@ def forward_hidden(params: dict[str, Tensor], config: ModelConfig,
     return T.rmsnorm(hidden, params["final_norm"], NORM_EPS)
 
 
-def text_logits(params: dict[str, Tensor], config: ModelConfig, rows: Tensor) -> Tensor:
+def text_logits(params: dict[str, Tensor], rows: Tensor) -> Tensor:
     """Vocabulary logits for [N, d] rows: tied head + soft cap."""
     logits = T.matmul(rows, T.transpose(params["tok_emb"], (1, 0)))
     return soft_cap(logits, SOFTCAP_ALPHA)

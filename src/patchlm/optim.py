@@ -41,6 +41,8 @@ EMBED_LR = 0.2
 REST_LR = 0.002
 ADAM_BETAS = (0.8, 0.95)
 ADAM_EPS = 1e-10
+WARMUP_STEPS = 40      # Schedule: linear warmup steps
+DECAY_FRACTION = 0.65  # Schedule: share of the run in the final linear decay
 
 
 def newton_schulz(g: np.ndarray) -> np.ndarray:
@@ -87,17 +89,14 @@ class Schedule:
     """Linear warmup, constant middle, linear decay over the final fraction."""
 
     total_steps: int
-    warmup_steps: int = 40
-    decay_fraction: float = 0.65
 
     def at(self, step: int) -> float:
         """Multiplier for 1-based step; continuous piecewise linear, peak 1."""
         if self.total_steps < 1:
             raise ConfigError("schedule needs at least one step")
-        decay_start = self.total_steps * (1.0 - self.decay_fraction)
-        if step <= self.warmup_steps and self.warmup_steps > 0:
-            return min(step / self.warmup_steps,
-                       self._decay_mult(step, decay_start))
+        decay_start = self.total_steps * (1.0 - DECAY_FRACTION)
+        if step <= WARMUP_STEPS:
+            return min(step / WARMUP_STEPS, self._decay_mult(step, decay_start))
         return self._decay_mult(step, decay_start)
 
     def _decay_mult(self, step: int, decay_start: float) -> float:

@@ -212,8 +212,10 @@ def periodic_noise(t, rng, overrides=None):
 
 def step_function(t, rng, overrides=None):
     p = _params(rng, overrides, n_segments=lambda r: int(r.integers(3, 12)))
-    bounds = np.sort(rng.choice(np.arange(1, len(t)), size=p["n_segments"] - 1, replace=False))
-    levels = rng.uniform(-2.0, 2.0, p["n_segments"]).astype(np.float32)
+    # a segment needs at least one step: a shorter series has fewer segments
+    n_segments = min(p["n_segments"], len(t))
+    bounds = np.sort(rng.choice(np.arange(1, len(t)), size=n_segments - 1, replace=False))
+    levels = rng.uniform(-2.0, 2.0, n_segments).astype(np.float32)
     out = np.empty(len(t), dtype=np.float32)
     start = 0
     for level, end in zip(levels, list(bounds) + [len(t)]):

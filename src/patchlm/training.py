@@ -139,8 +139,7 @@ class Trainer:
         tt = batch.text_targets.reshape(-1)
         text_rows = np.flatnonzero(tt >= 0)
         if len(text_rows):
-            ce, n_text = losses.lm_loss(self.params, self.config,
-                                        T.index(flat, (text_rows,)), tt[text_rows])
+            ce, n_text = losses.lm_loss(self.params, T.index(flat, (text_rows,)), tt[text_rows])
         else:
             ce, n_text = Tensor(np.zeros((), dtype=flat.dtype)), 0
 

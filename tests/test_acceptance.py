@@ -67,7 +67,7 @@ def test_criterion_1_gradient_fidelity():
         def objective():
             hidden = M.forward_hidden(params, cfg, [layout])
             flat = T.reshape(hidden, (16, cfg.d_model))
-            ce, _ = losses.lm_loss(params, cfg, T.index(flat, (text_pos,)), text_targets)
+            ce, _ = losses.lm_loss(params, T.index(flat, (text_pos,)), text_targets)
             q_hat = losses.quantile_head(params, cfg, T.index(flat, (ts_pos,)))
             ql, _ = losses.masked_quantile_loss(q_hat, ts_targets, ts_mask, levels)
             return losses.combined_loss(ce, ql, 1.0, 2.5)
@@ -336,7 +336,7 @@ def corpus_ce(params, cfg, ids):
             batch = data.build_text_batch(stream, 128, 1)
             hidden = M.forward_hidden(params, cfg, batch.layouts)
             flat = T.reshape(hidden, (128, cfg.d_model))
-            ce, n = losses.lm_loss(params, cfg, flat, batch.text_targets[0])
+            ce, n = losses.lm_loss(params, flat, batch.text_targets[0])
             total += ce.item() * n
             count += n
     return total / count

@@ -93,6 +93,16 @@ def test_config_from_an_older_version_is_data_error(tmp_path):
         C.load_checkpoint(path)
 
 
+def test_config_without_a_field_is_data_error(tmp_path):
+    # max_seq differs from its default, which a missing key would silently take
+    config = dataclasses.asdict(TINY)
+    del config["max_seq"]
+    path = str(tmp_path / "partial.ckpt")
+    _write_raw(path, _manifest(config=config), np.ones(2, dtype="<f4").tobytes())
+    with pytest.raises(DataError, match="max_seq"):
+        C.load_checkpoint(path)
+
+
 def test_header_longer_than_file_is_data_error(tmp_path):
     path = tmp_path / "garbage.ckpt"
     path.write_bytes(b"garbage\n")

@@ -1,7 +1,8 @@
+import dataclasses
+import hashlib
 import json
 import os
-
-import dataclasses
+import shutil
 import struct
 
 import numpy as np
@@ -56,15 +57,22 @@ def test_synth_generate_deterministic(workdir):
     assert run("--seed", "3", "synth", "generate", "--n", "4", "--len", "64",
                "--out", "b.jsonl") == 0
     assert (workdir / "a.jsonl").read_text() == (workdir / "b.jsonl").read_text()
-    series = list(codec.read_series_jsonl("a.jsonl"))
+    series = list(codec.read_jsonl("a.jsonl", codec.series_from_record))
     assert len(series) == 4 and series[0].length == 64
 
 
 def test_synth_force_kernel(workdir):
     assert run("synth", "generate", "--n", "2", "--len", "32",
                "--force-kernel", "constant", "--out", "c.jsonl") == 0
-    for s in codec.read_series_jsonl("c.jsonl"):
+    for s in codec.read_jsonl("c.jsonl", codec.series_from_record):
         assert np.allclose(s.values, s.values[0, 0])
+
+
+def test_synth_short_series_exit_0(workdir):
+    assert run("--seed", "0", "synth", "generate", "--n", "10", "--len", "8",
+               "--out", "short.jsonl") == 0
+    series = list(codec.read_jsonl("short.jsonl", codec.series_from_record))
+    assert [s.length for s in series] == [8] * 10
 
 
 def test_train_missing_config_exit_2(workdir):
@@ -133,7 +141,7 @@ def test_train_forecast_embed_probe_eval_end_to_end(workdir):
 
     # truth file pairing contexts with (synthetic) targets for eval
     truth = []
-    for s in codec.read_series_jsonl("ctx.jsonl"):
+    for s in codec.read_jsonl("ctx.jsonl", codec.series_from_record):
         truth.append({"id": s.series_id, "context": s.values[0][:-8].tolist(),
                       "target": s.values[0][-8:].tolist()})
     with open("truth.jsonl", "w") as fh:
@@ -221,8 +229,8 @@ def inputs(workdir):
     """A tiny checkpoint, a two-series file and a vocabulary in the work dir."""
     _write_model(workdir / "m.ckpt")
     rng = np.random.default_rng(0)
-    codec.write_series_jsonl("s.jsonl", [codec.RawSeries(rng.normal(size=12), series_id=f"s{i}")
-                                         for i in range(2)])
+    codec.write_jsonl("s.jsonl", [codec.series_to_record(
+        codec.RawSeries(rng.normal(size=12), series_id=f"s{i}")) for i in range(2)])
     bpe.save_vocab(bpe.bpe_train([b"abab abab"], 260), "v.json")
     (workdir / "msg.txt").write_bytes(b"abab")
     return workdir
@@ -238,6 +246,12 @@ def inputs(workdir):
 def test_missing_input_file_exit_3(inputs, argv, capsys):
     assert run(*argv) == 3
     assert "nope" in capsys.readouterr().err
+
+
+def test_text_without_vocab_exit_2_whether_or_not_the_text_exists(inputs):
+    for text in ("msg.txt", "nope.txt"):
+        assert run("forecast", "--ckpt", "m.ckpt", "--input", "s.jsonl", "--horizon", "4",
+                   "--text", text, "--out", "f.jsonl") == 2
 
 
 def test_vocab_not_json_exit_3(inputs):
@@ -312,3 +326,148 @@ def test_damaged_checkpoint_never_escapes_embed(inputs, data):
     (inputs / "damaged.ckpt").write_bytes(bytes(damaged))
     code = run("embed", "--ckpt", "damaged.ckpt", "--input", "s.jsonl", "--out", "e.jsonl")
     assert code in (0, 2, 3, 4)
+
+
+# -- run identity ------------------------------------------------------------------
+
+def _sha256(path):
+    return hashlib.sha256(open(path, "rb").read()).hexdigest()
+
+
+def _manifest(path):
+    with open(path) as fh:
+        return json.load(fh)
+
+
+@pytest.fixture()
+def every_input(inputs):
+    """On top of `inputs`: a corpus, an ids file, a checkpoint whose vocabulary
+    covers v.json, embeddings and two label sets, forecasts and their truth,
+    and class predictions with their truth."""
+    (inputs / "corpus.txt").write_bytes(b"abab cdcd abab cdcd " * 8)
+    assert run("tokenize", "encode", "--vocab", "v.json", "--input", "msg.txt",
+               "--out", "ids.json") == 0
+    _write_model(inputs / "mv.ckpt", dataclasses.replace(TINY, vocab_size=262),
+                 dataclasses.replace(TINY, vocab_size=262))
+    assert run("embed", "--ckpt", "m.ckpt", "--input", "s.jsonl", "--out", "e.jsonl") == 0
+    shutil.copy("e.jsonl", "e2.jsonl")
+    (inputs / "l.jsonl").write_text('{"id": "s0", "label": 0}\n{"id": "s1", "label": 1}\n')
+    (inputs / "l2.jsonl").write_text('{"id": "s0", "label": 1}\n{"id": "s1", "label": 0}\n')
+    assert run("forecast", "--ckpt", "m.ckpt", "--input", "s.jsonl", "--horizon", "4",
+               "--out", "f.jsonl") == 0
+    with open("truth.jsonl", "w") as fh:
+        for i in range(2):
+            fh.write(json.dumps({"id": f"s{i}", "context": [1.0, 2.0, 3.0, 4.0] * 3,
+                                 "target": [1.0, 2.0, 3.0, 4.0]}) + "\n")
+    (inputs / "pred.jsonl").write_text('{"id": "a", "scores": [0.9, 0.1]}\n'
+                                       '{"id": "b", "scores": [0.4, 0.6]}\n')
+    (inputs / "cls.jsonl").write_text('{"id": "a", "label": 0}\n{"id": "b", "label": 1}\n')
+    return inputs
+
+
+# (argv without --out, flag changes that change the output); every argv token
+# naming a file in the work dir is an input of the run
+IDENTITY_CASES = {
+    "tokenize-train": (["tokenize", "train", "--input", "corpus.txt", "--vocab-size", "262"],
+                       [["--vocab-size", "264"], ["--input", "corpus.txt", "msg.txt"]]),
+    "tokenize-encode": (["tokenize", "encode", "--vocab", "v.json", "--input", "msg.txt"], []),
+    "tokenize-decode": (["tokenize", "decode", "--vocab", "v.json", "--input", "ids.json"], []),
+    "synth": (["synth", "generate", "--n", "2", "--len", "16"],
+              [["--n", "3"], ["--len", "8"], ["--force-kernel", "constant"], ["--seed", "1"]]),
+    "forecast": (["forecast", "--ckpt", "mv.ckpt", "--input", "s.jsonl", "--horizon", "4"],
+                 [["--horizon", "8"], ["--text", "msg.txt", "--vocab", "v.json"]]),
+    "forecast-text": (["forecast", "--ckpt", "mv.ckpt", "--input", "s.jsonl", "--horizon", "4",
+                       "--text", "msg.txt", "--vocab", "v.json"], []),
+    "embed": (["embed", "--ckpt", "mv.ckpt", "--input", "s.jsonl"], [["--repeat", "2"]]),
+    "probe": (["probe", "--embeddings", "e.jsonl", "--labels", "l.jsonl", "--epochs", "3"],
+              [["--class-balanced"], ["--head", "mlp"], ["--epochs", "4"],
+               ["--test-embeddings", "e2.jsonl", "--test-labels", "l2.jsonl"]]),
+    "probe-test": (["probe", "--embeddings", "e.jsonl", "--labels", "l.jsonl", "--epochs", "3",
+                    "--test-embeddings", "e2.jsonl", "--test-labels", "l2.jsonl"], []),
+    "eval-forecast": (["eval", "forecast", "--pred", "f.jsonl", "--truth", "truth.jsonl"],
+                      [["--season", "2"]]),
+    "eval-cls": (["eval", "cls", "--pred", "pred.jsonl", "--truth", "cls.jsonl"], []),
+}
+
+
+def _identity_run(argv, out):
+    assert run(*argv, "--out", out) == 0
+    return _manifest(out + ".manifest.json")
+
+
+@pytest.mark.parametrize("case", list(IDENTITY_CASES))
+def test_hash_covers_every_input_file_and_flag(every_input, case):
+    argv, flag_changes = IDENTITY_CASES[case]
+    files = [a for a in argv if os.path.isfile(a)]
+    base = _identity_run(argv, "o1")
+    assert base["inputs"] == {path: _sha256(path) for path in files}
+    assert _identity_run(argv, "o2")["config_hash"] == base["config_hash"]
+    for path in files:
+        raw = (every_input / path).read_bytes()
+        (every_input / path).write_bytes(raw + b"\n")  # same parse, other bytes
+        assert _identity_run(argv, "o3")["config_hash"] != base["config_hash"], path
+        (every_input / path).write_bytes(raw)
+    for change in flag_changes:
+        assert _identity_run(argv + change, "o4")["config_hash"] != base["config_hash"], change
+
+
+@pytest.mark.parametrize("case", list(IDENTITY_CASES))
+def test_hash_ignores_input_names_and_out_path(every_input, case):
+    argv, _ = IDENTITY_CASES[case]
+    base = _identity_run(argv, "o1")
+    os.mkdir("copies")
+    renamed = []
+    for arg in argv:
+        if os.path.isfile(arg):
+            shutil.copy(arg, os.path.join("copies", "c_" + arg))
+            arg = os.path.join("copies", "c_" + arg)
+        renamed.append(arg)
+    other = _identity_run(renamed, os.path.join("copies", "other"))
+    assert other["config_hash"] == base["config_hash"]
+    assert sorted(other["inputs"].values()) == sorted(base["inputs"].values())
+    assert list(other["outputs"].values()) == list(base["outputs"].values())
+
+
+def _train_manifest(*argv):
+    assert run("--seed", "1", "train", *argv) == 0
+    return _manifest("run_out/manifest.json")
+
+
+def test_train_hash_covers_data_files_and_stage(workdir):
+    _write_training_fixture(workdir)
+    assert run("synth", "generate", "--n", "2", "--len", "48", "--out", "series.jsonl") == 0
+    with open("run.toml", "a") as fh:
+        fh.write('series = "series.jsonl"\n')
+    base = _train_manifest("--config", "run.toml")
+    assert base["inputs"] == {p: _sha256(p) for p in ("corpus.txt", "vocab.json", "series.jsonl")}
+    for path in ("series.jsonl", "corpus.txt"):
+        raw = (workdir / path).read_bytes()
+        (workdir / path).write_bytes(raw + b"\n")
+        assert _train_manifest("--config", "run.toml")["config_hash"] != base["config_hash"]
+        (workdir / path).write_bytes(raw)
+    assert _train_manifest("--config", "run.toml", "--stage", "1")["config_hash"] \
+        != base["config_hash"]
+    # the config's own name and its data files' names do not count; a fresh
+    # out_dir, because metrics.jsonl is appended to
+    shutil.rmtree("run_out")
+    shutil.copy("corpus.txt", "corpus2.txt")
+    (workdir / "other.toml").write_text(
+        (workdir / "run.toml").read_text().replace('"corpus.txt"', '"corpus2.txt"'))
+    renamed = _train_manifest("--config", "other.toml")
+    assert renamed["config_hash"] == base["config_hash"]
+    assert renamed["outputs"] == base["outputs"]
+
+
+def test_train_resume_file_is_hashed_before_the_run_overwrites_it(workdir):
+    _write_training_fixture(workdir)
+    assert run("--seed", "1", "train", "--config", "run.toml", "--stage", "1") == 0
+    shutil.copy("run_out/stage1.ckpt", "saved.ckpt")
+    # a longer stage 1 makes the resumed run write run_out/stage1.ckpt again
+    (workdir / "long.toml").write_text(
+        (workdir / "run.toml").read_text().replace("total_steps = 6", "total_steps = 8"))
+    resumed = _train_manifest("--config", "long.toml", "--stage", "1",
+                              "--resume", "run_out/stage1.ckpt")
+    assert _sha256("run_out/stage1.ckpt") != _sha256("saved.ckpt")
+    assert resumed["inputs"]["run_out/stage1.ckpt"] == _sha256("saved.ckpt")
+    from_copy = _train_manifest("--config", "long.toml", "--stage", "1", "--resume", "saved.ckpt")
+    assert from_copy["config_hash"] == resumed["config_hash"]

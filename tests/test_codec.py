@@ -154,8 +154,8 @@ def test_jsonl_roundtrip(tmp_path):
     path = tmp_path / "series.jsonl"
     s1 = codec.RawSeries([1.0, None if False else np.nan, 3.0], series_id="a", freq="daily")
     s2 = codec.RawSeries(np.ones((2, 4)), series_id="b")
-    codec.write_series_jsonl(str(path), [s1, s2])
-    loaded = list(codec.read_series_jsonl(str(path)))
+    codec.write_jsonl(str(path), map(codec.series_to_record, [s1, s2]))
+    loaded = list(codec.read_jsonl(str(path), codec.series_from_record))
     assert loaded[0].series_id == "a" and loaded[0].freq == "daily"
     assert np.isnan(loaded[0].values[0, 1])
     assert loaded[1].values.shape == (2, 4)
@@ -179,4 +179,4 @@ def test_malformed_values_are_data_errors_naming_file_and_line(tmp_path, values)
     path.write_text(json.dumps({"id": "ok", "values": [1.0]}) + "\n"
                     + json.dumps({"id": "x", "values": values}) + "\n")
     with pytest.raises(DataError, match=r"bad\.jsonl:2: .*'values'"):
-        list(codec.read_series_jsonl(str(path)))
+        list(codec.read_jsonl(str(path), codec.series_from_record))

@@ -69,10 +69,27 @@ def test_load_run_config_unknown_key(tmp_path):
         C.load_run_config(str(path))
 
 
+@pytest.mark.parametrize("text", ["5", "[1, 2]", "true"])
+def test_load_run_config_text_not_paths(tmp_path, text):
+    path = tmp_path / "bad.toml"
+    path.write_text(f"[model]\n[stage1]\ntotal_steps = 1\n[data]\ntext = {text}\n")
+    with pytest.raises(ConfigError, match="text"):
+        C.load_run_config(str(path))
+
+
 def test_config_hash_stable_and_sensitive():
-    a = C.config_hash("synth", {"n": 3}, 0)
-    b = C.config_hash("synth", {"n": 3}, 0)
-    c = C.config_hash("synth", {"n": 4}, 0)
-    d = C.config_hash("synth", {"n": 3}, 1)
-    assert a == b
+    a, inputs = C.run_identity("synth", {"n": 3}, 0)
+    b, _ = C.run_identity("synth", {"n": 3}, 0)
+    c, _ = C.run_identity("synth", {"n": 4}, 0)
+    d, _ = C.run_identity("synth", {"n": 3}, 1)
+    assert a == b and inputs == {}
     assert len({a, c, d}) == 3
+
+
+@pytest.mark.parametrize("text, line", [
+    ("[model]\nn_layers = 2\nn_layers = 3\n", 3),
+    ("[model]\nn_layers = 2\n[data]\nvocab = \"v.json\"\n[model]\nd_model = 16\n", 5),
+], ids=["key", "section"])
+def test_parse_rejects_repeats(text, line):
+    with pytest.raises(ConfigError, match=f"line {line}: .*repeated"):
+        C.parse_toml_like(text)

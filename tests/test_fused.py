@@ -103,17 +103,17 @@ def test_lm_loss_matches_text_logits_chain():
     targets = rng.integers(0, cfg.vocab_size, 23)
 
     def oracle():
-        logp = T.log_softmax(M.text_logits(params, cfg, rows))
+        logp = T.log_softmax(M.text_logits(params, rows))
         return T.mul_const(T.tsum(T.gather_values(logp, targets)), -1.0 / len(targets))
 
-    fused, n = L.lm_loss(params, cfg, rows, targets)
+    fused, n = L.lm_loss(params, rows, targets)
     assert n == 23
     want = oracle()
     assert abs(fused.item() - want.item()) <= 1e-12
     leaves = [rows, params[head]]
     for a, b in zip(leaf_grads(fused, leaves), leaf_grads(want, leaves)):
         assert np.abs(a - b).max() <= 1e-12
-    assert_fd(lambda: L.lm_loss(params, cfg, rows, targets)[0],
+    assert_fd(lambda: L.lm_loss(params, rows, targets)[0],
               [("rows", rows), (head, params[head])])
 
 

@@ -50,7 +50,7 @@ def test_lm_loss_uniform_logits_is_log_vocab():
     params = M.init_params(cfg, seed=0)
     params["tok_emb"].data[:] = 0.0  # tied head -> all logits equal
     rows = Tensor(np.random.default_rng(0).normal(size=(5, cfg.d_model)).astype(np.float32))
-    loss, n = L.lm_loss(params, cfg, rows, np.arange(5) % cfg.vocab_size)
+    loss, n = L.lm_loss(params, rows, np.arange(5) % cfg.vocab_size)
     assert n == 5
     assert loss.item() == pytest.approx(math.log(cfg.vocab_size), rel=1e-6)
 
@@ -60,7 +60,7 @@ def test_lm_loss_two_way_balanced():
     params = M.init_params(cfg, seed=1)
     params["tok_emb"].data[:] = 0.0
     rows = Tensor(np.ones((1, cfg.d_model), dtype=np.float32))
-    loss, _ = L.lm_loss(params, cfg, rows, np.array([1]))
+    loss, _ = L.lm_loss(params, rows, np.array([1]))
     assert loss.item() == pytest.approx(math.log(2), rel=1e-6)
 
 
@@ -76,7 +76,7 @@ def test_lm_loss_hard_capped_confidence():
     params["tok_emb"].data[:, 0] = -1e9
     params["tok_emb"].data[0, 0] = 1e9
     rows = Tensor(np.eye(1, cfg.d_model, dtype=np.float64))
-    loss, _ = L.lm_loss(params, cfg, rows, np.array([0]))
+    loss, _ = L.lm_loss(params, rows, np.array([0]))
     expect = math.log(1.0 + (v - 1) * math.exp(-2 * alpha))
     assert loss.item() == pytest.approx(expect, rel=1e-9)
 
@@ -84,9 +84,9 @@ def test_lm_loss_hard_capped_confidence():
 def test_lm_loss_empty_is_zero_weight():
     cfg = tiny_config()
     params = M.init_params(cfg, seed=0)
-    loss, n = L.lm_loss(params, cfg, Tensor(np.zeros((0, cfg.d_model))), np.zeros(0))
+    loss, n = L.lm_loss(params, Tensor(np.zeros((0, cfg.d_model))), np.zeros(0))
     assert n == 0 and loss.item() == 0.0
-    loss, _ = L.lm_loss(params, cfg, Tensor(np.zeros((0, cfg.d_model), dtype=np.float32)),
+    loss, _ = L.lm_loss(params, Tensor(np.zeros((0, cfg.d_model), dtype=np.float32)),
                         np.zeros(0))
     assert loss.dtype == np.float32
 

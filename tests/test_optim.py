@@ -145,7 +145,8 @@ def test_optimizer_scales_adamw_groups_only():
 
 
 def test_schedule_three_phases():
-    sched = O.Schedule(total_steps=1000, warmup_steps=40, decay_fraction=0.65)
+    assert (O.WARMUP_STEPS, O.DECAY_FRACTION) == (40, 0.65)
+    sched = O.Schedule(total_steps=1000)
     assert sched.at(20) == pytest.approx(0.5)
     assert sched.at(40) == pytest.approx(1.0)
     assert sched.at(350) == pytest.approx(1.0)  # 35% mark: constant phase
@@ -155,7 +156,7 @@ def test_schedule_three_phases():
 
 
 def test_schedule_continuous_piecewise_linear():
-    sched = O.Schedule(total_steps=400, warmup_steps=40)
+    sched = O.Schedule(total_steps=400)
     vals = np.array([sched.at(s) for s in range(1, 401)])
     assert vals.max() == pytest.approx(1.0)
     assert np.all(np.abs(np.diff(vals)) <= 1.0 / 40 + 1e-12)

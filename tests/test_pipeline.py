@@ -267,7 +267,7 @@ def test_run_stage_and_metrics_monotone_step(vocab, tmp_path):
     stage = training.StageConfig(seq_len=12, total_steps=8, micro_batch=1,
                                  text_prob=0.5, log_every=2)
     records = []
-    trainer.run_stage(stage, sources, Schedule(total_steps=8, warmup_steps=2),
+    trainer.run_stage(stage, sources, Schedule(total_steps=8),
                       metrics_sink=records.append)
     assert trainer.step == 8
     steps = [r["step"] for r in records]
@@ -280,7 +280,7 @@ def test_checkpoint_resume_bit_identical(vocab, tmp_path):
     cfg = tiny_config()
     stage = training.StageConfig(seq_len=12, total_steps=6, micro_batch=1,
                                  text_prob=0.6, align_fraction=0.3, log_every=1)
-    schedule = Schedule(total_steps=20, warmup_steps=2)
+    schedule = Schedule(total_steps=20)
 
     def fresh(seed):
         return training.Trainer(cfg, seed=seed), make_sources(vocab, cfg)

@@ -110,6 +110,16 @@ def test_step_function_segments():
         assert 3 <= n_segments <= 11
 
 
+@pytest.mark.parametrize("length", range(2, 12))
+def test_short_series_sample_without_error(length):
+    # step_function draws up to 11 segments; a shorter series gets fewer
+    for seed in range(300):
+        x = S.sample_series(length, seed)
+        assert x.shape == (length,) and np.isfinite(x).all()
+        x = S.force_kernel_series(length, seed, "step_function", {})
+        assert 1 + int((np.diff(x) != 0).sum()) <= length
+
+
 def test_level_shift_in_middle_80pct():
     for seed in range(10):
         x = S.force_kernel_series(100, seed, "level_shift", {"n_shifts": 1})
