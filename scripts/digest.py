@@ -1,0 +1,142 @@
+#!/usr/bin/env python3
+"""Print one JSON map of SHA-256 digests over patchlm's seeded outputs.
+
+The map covers:
+- training batches (model inputs, CE targets, TS targets and masks) for
+  text, TS and interleaved batches at seq_len 16, 33 and 64, with series
+  cut at seq_len and short samples padded;
+- the per-step records and final parameters of four 30-step training runs,
+  each at seq_len 16 and 33: text only, TS only, interleaved (text 0.5,
+  align 0.3) and all-aligned;
+- forecasts with and without a text prefix, and embeddings of series, text
+  and both at repeat 1-3.
+
+Two trees that print the same map compute the same bits for all of these.
+It runs in a few seconds.
+
+    PYTHONPATH=src python scripts/digest.py > digests.json
+"""
+
+import hashlib
+import itertools
+import json
+import os
+import sys
+
+import numpy as np
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+
+from patchlm import bpe, codec, data, inference, training  # noqa: E402
+from patchlm import model as M  # noqa: E402
+from patchlm.optim import Schedule  # noqa: E402
+
+CORPUS = b"the quick brown fox jumps over the lazy dog while a slow series rises " * 12
+CONFIG = M.ModelConfig(n_layers=1, d_model=16, n_q_heads=2, n_kv_heads=1, head_dim=8,
+                       patch_len=4, n_quantiles=5, vocab_size=300, max_seq=64)
+P = CONFIG.patch_len
+
+
+def digest(*arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        a = np.ascontiguousarray(a)
+        h.update(f"{a.dtype}{a.shape}".encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+def gappy_series(rng: np.random.Generator, channels: int, length: int) -> codec.RawSeries:
+    values = rng.normal(size=(channels, length)).cumsum(axis=1)
+    values[rng.random(values.shape) < 0.15] = np.nan
+    values[:, 0] = 1.0  # every channel keeps a finite value
+    return codec.RawSeries(values)
+
+
+def batch_digests(vocab: bpe.BpeVocab, out: dict) -> None:
+    def record(name, batch):
+        # patches enter by value only: an empty block may be [0, 0] or [0, 4P]
+        patches = np.asarray(batch.inputs.patches, dtype=np.float32).ravel()
+        out[f"batch.{name}.inputs"] = digest(batch.inputs.ids, patches)
+        out[f"batch.{name}.targets"] = digest(batch.text_targets, batch.ts_targets,
+                                              batch.ts_mask, np.array([batch.modality]))
+
+    ids = data.pack_documents([CORPUS, b"a second short document", CORPUS[:50]], vocab)
+    for S in (16, 33, 64):
+        rng = np.random.default_rng(S)
+        record(f"text.S{S}", data.build_text_batch(data.TokenStream(ids), S, 3))
+
+        lengths = iter(rng.integers(3, 70, size=1000))
+        channels = iter(rng.integers(1, 4, size=1000))
+        record(f"ts.S{S}", data.build_ts_batch(
+            lambda: gappy_series(rng, int(next(channels)), int(next(lengths))), S, 3, P))
+
+        align = training.synthetic_alignment_source(24)
+        samples = [align(rng) for _ in range(2)]
+        samples.append([("text", b"two series:"), ("series", gappy_series(rng, 2, 9)),
+                        ("text", b"and"), ("series", gappy_series(rng, 1, 30))])
+        samples.append([("text", b"short")])
+        samples.append([("series", gappy_series(rng, 1, 4 * S))])  # cut inside the series
+        record(f"interleaved.S{S}", data.build_interleaved_batch(samples, vocab, S, P))
+
+
+RUNS = {
+    "text": dict(text_prob=1.0),
+    "ts": dict(text_prob=0.0),
+    "interleaved": dict(text_prob=0.5, align_fraction=0.3),
+    "aligned": dict(text_prob=0.0, align_fraction=1.0),
+}
+
+
+def training_digests(vocab: bpe.BpeVocab, out: dict) -> dict:
+    trained = {}
+    for (name, knobs), S in itertools.product(RUNS.items(), (16, 33)):
+        sources = training.DataSources(
+            text_stream=data.TokenStream(data.pack_documents([CORPUS], vocab)),
+            ts_source=training.synthetic_ts_source(length=40),
+            alignment_source=training.synthetic_alignment_source(length=24),
+            vocab=vocab)
+        trainer = training.Trainer(CONFIG, seed=3)
+        stage = training.StageConfig(seq_len=S, total_steps=30, micro_batch=2,
+                                     log_every=1, **knobs)
+        records = []
+        trainer.run_stage(stage, sources, Schedule(total_steps=30),
+                          metrics_sink=records.append)
+        out[f"train.{name}.S{S}.records"] = hashlib.sha256(
+            json.dumps(records).encode()).hexdigest()
+        out[f"train.{name}.S{S}.params"] = digest(
+            *(trainer.params[k].data for k in sorted(trainer.params)))
+        trained[name, S] = trainer.params
+    return trained
+
+
+def inference_digests(params: dict, out: dict) -> None:
+    rng = np.random.default_rng(11)
+    contexts = [rng.normal(size=n).cumsum() for n in (13, 20, 37)]
+    contexts[1][[2, 5, 6]] = np.nan
+    for i, values in enumerate(contexts):
+        for horizon in (3, 9):
+            for text_ids in ((), (3, 1, 7)):
+                result = inference.forecast_values(params, CONFIG, values, horizon, text_ids)
+                out[f"forecast.{i}.h{horizon}.text{len(text_ids)}"] = digest(
+                    result.quantiles, result.median)
+    series = gappy_series(rng, 2, 11)
+    for repeat in (1, 2, 3):
+        for text_ids in ((), (5, 9, 2, 8)):
+            emb = inference.extract_embedding(params, CONFIG, series, text_ids, repeat)
+            out[f"embed.r{repeat}.text{len(text_ids)}"] = digest(emb)
+    out["embed.text_only"] = digest(inference.extract_embedding(params, CONFIG,
+                                                                text_ids=(4, 2, 9)))
+
+
+def main() -> None:
+    vocab = bpe.bpe_train([CORPUS], 280)  # 280 tokens plus the specials
+    out: dict = {}
+    batch_digests(vocab, out)
+    trained = training_digests(vocab, out)
+    inference_digests(trained["interleaved", 16], out)
+    print(json.dumps(out, indent=1, sort_keys=True))
+
+
+if __name__ == "__main__":
+    main()

@@ -155,7 +155,7 @@ def cmd_train(args) -> tuple[list[str], dict]:
         trainer = training.Trainer(run.model, seed=args.seed)
 
     metrics_path = os.path.join(run.data.out_dir, "metrics.jsonl")
-    sink = training.jsonl_sink(metrics_path)
+    sink = training.jsonl_sink(metrics_path, trainer.step)
     outputs = [metrics_path]
     try:
         if args.stage in ("1", "all") and trainer.step < run.stage1.total_steps:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Optional
 
 import numpy as np
@@ -77,14 +77,7 @@ class PatchBatch:
 
     features: np.ndarray          # [T_total, 4P] float32
     validity: np.ndarray          # [T_total, P] bool
-    norm_stats: NormStats
-    patch_len: int
-    channel_slices: list[slice] = field(default_factory=list)
-    length: int = 0               # original L (per channel)
-
-    @property
-    def n_patches(self) -> int:
-        return self.features.shape[0]
+    channel_slices: list[slice]
 
 
 def compute_visible_stats(series: RawSeries) -> NormStats:
@@ -186,10 +179,7 @@ def patchify(series: RawSeries, patch_len: int, stats: NormStats | None = None) 
     return PatchBatch(
         features=np.concatenate(feats, axis=0),
         validity=np.concatenate(valids, axis=0),
-        norm_stats=stats,
-        patch_len=patch_len,
         channel_slices=slices,
-        length=length,
     )
 
 

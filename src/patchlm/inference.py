@@ -10,6 +10,9 @@ starts exactly where the data ends.
 Embedding extraction mean-pools the final-norm hidden states over every
 position, with the whole TS patch block optionally repeated r times to
 rebalance the modality share against long text prefixes.
+
+Both forecasting and embedding hand the model one ``model.Inputs`` row:
+the text prefix's token ids, then ``model.PATCH`` at each patch position.
 """
 
 from __future__ import annotations
@@ -58,6 +61,13 @@ def _generated_patch_features(median_patch: np.ndarray, padded_len: int, start: 
                                    mask[None, :], channel[None, :])
 
 
+def _text_then_patches(text_ids: Sequence[int], patches: np.ndarray) -> M.Inputs:
+    """One sequence: the text tokens, then one position per patch row."""
+    ids = np.concatenate([np.asarray(list(text_ids), dtype=np.int64),
+                          np.full(len(patches), M.PATCH, dtype=np.int64)])
+    return M.Inputs(ids[None, :], patches)
+
+
 def forecast_values(params: dict[str, Tensor], config: M.ModelConfig,
                     values: np.ndarray, horizon: int,
                     text_ids: Sequence[int] = ()) -> ForecastResult:
@@ -74,7 +84,6 @@ def forecast_values(params: dict[str, Tensor], config: M.ModelConfig,
     levels = losses.quantile_levels(config.n_quantiles)
 
     n_steps = -(-horizon // P)
-    text_ids = np.asarray(list(text_ids), dtype=np.int64)
     need = len(text_ids) + feats.shape[0] + n_steps
     if need > config.max_seq:
         raise ConfigError(f"context+horizon needs {need} positions > max_seq {config.max_seq}")
@@ -82,16 +91,9 @@ def forecast_values(params: dict[str, Tensor], config: M.ModelConfig,
     collected = []
     with T.no_grad():
         cache = M.KVCache(config)
-        if len(text_ids):
-            n = len(text_ids) + feats.shape[0]
-            layout = M.SequenceLayout(
-                length=n,
-                text_pos=np.arange(len(text_ids)), text_ids=text_ids,
-                ts_pos=np.arange(len(text_ids), n), ts_features=feats)
-        else:
-            layout = M.ts_only_layout(feats)
-        hidden = M.forward_hidden(params, config, [layout], cache=cache)
-        last = T.index(hidden, (0, slice(layout.length - 1, layout.length)))
+        hidden = M.forward_hidden(params, config, _text_then_patches(text_ids, feats),
+                                  cache=cache)
+        last = T.index(hidden, (0, slice(-1, None)))
         for step in range(n_steps):
             q_hat = losses.quantile_head(params, config, last).data[0]  # [P, Q]
             q_sorted = np.sort(q_hat, axis=-1)
@@ -101,7 +103,7 @@ def forecast_values(params: dict[str, Tensor], config: M.ModelConfig,
             median_patch = q_sorted[:, config.n_quantiles // 2]
             feats_next = _generated_patch_features(
                 median_patch, padded_len, padded_len + step * P, P)
-            hidden = M.forward_hidden(params, config, [M.ts_only_layout(feats_next)],
+            hidden = M.forward_hidden(params, config, _text_then_patches((), feats_next),
                                       cache=cache)
             last = T.index(hidden, (0, slice(0, 1)))
 
@@ -125,24 +127,16 @@ def forecast_series(params: dict[str, Tensor], config: M.ModelConfig,
 # frozen embeddings
 # ---------------------------------------------------------------------
 
-def build_repeat_layout(config: M.ModelConfig, ts_features: Optional[np.ndarray],
-                        text_ids: Sequence[int] = (), repeat: int = 1) -> M.SequenceLayout:
+def build_repeat_layout(ts_features: Optional[np.ndarray], text_ids: Sequence[int] = (),
+                        repeat: int = 1) -> M.Inputs:
     """Text tokens followed by `repeat` contiguous copies of the patch block."""
     if repeat < 1:
         raise ConfigError("repeat must be >= 1")
-    text_ids = np.asarray(list(text_ids), dtype=np.int64)
-    if ts_features is None or len(ts_features) == 0:
-        if len(text_ids) == 0:
-            raise ConfigError("embedding layout needs text or series content")
-        return M.text_only_layout(text_ids)
-    block = np.asarray(ts_features, dtype=np.float32)
-    tiled = np.tile(block, (repeat, 1))
-    n_text = len(text_ids)
-    length = n_text + len(tiled)
-    return M.SequenceLayout(
-        length=length,
-        text_pos=np.arange(n_text), text_ids=text_ids,
-        ts_pos=np.arange(n_text, length), ts_features=tiled)
+    block = (np.zeros((0, 0), dtype=np.float32) if ts_features is None
+             else np.asarray(ts_features, dtype=np.float32))
+    if len(block) == 0 and len(text_ids) == 0:
+        raise ConfigError("embedding layout needs text or series content")
+    return _text_then_patches(text_ids, np.tile(block, (repeat, 1)))
 
 
 def extract_embedding(params: dict[str, Tensor], config: M.ModelConfig,
@@ -150,11 +144,12 @@ def extract_embedding(params: dict[str, Tensor], config: M.ModelConfig,
                       text_ids: Sequence[int] = (), repeat: int = 1) -> np.ndarray:
     """Mean-pooled final-norm hidden state over all positions."""
     feats = codec.patchify(series, config.patch_len).features if series is not None else None
-    layout = build_repeat_layout(config, feats, text_ids, repeat)
-    if layout.length > config.max_seq:
-        raise ConfigError(f"layout length {layout.length} exceeds max_seq {config.max_seq}")
+    inputs = build_repeat_layout(feats, text_ids, repeat)
+    length = inputs.ids.shape[1]
+    if length > config.max_seq:
+        raise ConfigError(f"layout length {length} exceeds max_seq {config.max_seq}")
     with T.no_grad():
-        hidden = M.forward_hidden(params, config, [layout])
+        hidden = M.forward_hidden(params, config, inputs)
     return hidden.data[0].mean(axis=0)
 
 

@@ -1,12 +1,14 @@
 """Decoder-only transformer shared by text tokens and time-series patches.
 
-One sequence mixes the two modalities position by position: text enters
-through a tied embedding table, patches through a bias-free projection of
-the 4P feature vector followed by RMSNorm.  Blocks are pre-norm RMSNorm
-with grouped-query causal attention (RoPE, per-head QK RMSNorm) and a
-SwiGLU MLP.  Attention output projections, SwiGLU w3, and the quantile
-head start at zero so the whole stack is the identity on the residual
-stream at initialization.
+One sequence mixes the two modalities position by position.  A batch is
+one ``Inputs``: a [B, S] id array holding a token id at each text position
+and ``PATCH`` (-1) at each patch position, plus one 4P feature row per
+patch position in row-major order.  Text enters through a tied embedding
+table, patches through a bias-free projection of the 4P feature vector
+followed by RMSNorm.  Blocks are pre-norm RMSNorm with grouped-query
+causal attention (RoPE, per-head QK RMSNorm) and a SwiGLU MLP.  Attention
+output projections, SwiGLU w3, and the quantile head start at zero so the
+whole stack is the identity on the residual stream at initialization.
 """
 
 from __future__ import annotations
@@ -54,42 +56,31 @@ class ModelConfig:
         return ((raw + 255) // 256) * 256
 
 
-@dataclass
-class SequenceLayout:
-    """Per-position modality assignment for one sequence.
+PATCH = -1  # the id at a patch position
 
-    Every position is exactly one of text (token id) or ts (patch feature
-    row); indices must partition range(length).
+
+@dataclass(frozen=True)
+class Inputs:
+    """One batch of model input.
+
+    ``ids`` is [B, S] int64: a token id at a text position and ``PATCH`` at
+    a patch position.  ``patches`` holds one 4P feature row per ``PATCH``
+    id, in row-major position order.
     """
 
-    length: int
-    text_pos: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
-    text_ids: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
-    ts_pos: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
-    ts_features: np.ndarray = field(default_factory=lambda: np.zeros((0, 0), dtype=np.float32))
+    ids: np.ndarray
+    patches: np.ndarray = field(default_factory=lambda: np.zeros((0, 0), dtype=np.float32))
 
     def __post_init__(self):
-        self.text_pos = np.asarray(self.text_pos, dtype=np.int64)
-        self.text_ids = np.asarray(self.text_ids, dtype=np.int64)
-        self.ts_pos = np.asarray(self.ts_pos, dtype=np.int64)
-        if self.text_pos.shape != self.text_ids.shape:
-            raise DataError("text_pos and text_ids must align")
-        if len(self.ts_pos) != len(self.ts_features):
-            raise DataError("ts_pos and ts_features must align")
-        merged = np.concatenate([self.text_pos, self.ts_pos])
-        if sorted(merged.tolist()) != list(range(self.length)):
-            raise DataError("positions must cover 0..length-1 exactly once")
-
-
-def text_only_layout(ids: np.ndarray) -> SequenceLayout:
-    ids = np.asarray(ids, dtype=np.int64)
-    return SequenceLayout(length=len(ids), text_pos=np.arange(len(ids)), text_ids=ids)
-
-
-def ts_only_layout(features: np.ndarray) -> SequenceLayout:
-    features = np.asarray(features, dtype=np.float32)
-    return SequenceLayout(length=len(features), ts_pos=np.arange(len(features)),
-                          ts_features=features)
+        ids = np.asarray(self.ids, dtype=np.int64)
+        patches = np.asarray(self.patches)
+        if ids.ndim != 2 or ids.size == 0:
+            raise DataError(f"ids must be a non-empty [B, S] array, got shape {ids.shape}")
+        n_patch = int(np.count_nonzero(ids == PATCH))
+        if len(patches) != n_patch:
+            raise DataError(f"{len(patches)} patch rows for {n_patch} patch positions")
+        object.__setattr__(self, "ids", ids)
+        object.__setattr__(self, "patches", patches)
 
 
 # ---------------------------------------------------------------------
@@ -218,42 +209,30 @@ class KVCache:
 # forward
 # ---------------------------------------------------------------------
 
-def embed_sequence(params: dict[str, Tensor], config: ModelConfig,
-                   layouts: list[SequenceLayout]) -> Tensor:
+def embed_sequence(params: dict[str, Tensor], config: ModelConfig, inputs: Inputs) -> Tensor:
     """Token lookup + normalized patch projection, merged per position."""
-    if not layouts:
-        raise DataError("need at least one sequence")
-    S = layouts[0].length
-    if any(l.length != S for l in layouts):
-        raise DataError("all sequences in a batch must share one length")
-    B = len(layouts)
+    B, S = inputs.ids.shape
     n = B * S
-    d = config.d_model
-
-    text_pos = np.concatenate([b * S + l.text_pos for b, l in enumerate(layouts)])
-    text_ids = np.concatenate([l.text_ids for l in layouts])
-    ts_pos = np.concatenate([b * S + l.ts_pos for b, l in enumerate(layouts)])
-    ts_feats = (np.concatenate([l.ts_features for l in layouts], axis=0)
-                if any(len(l.ts_pos) for l in layouts)
-                else np.zeros((0, 4 * config.patch_len), dtype=np.float32))
+    flat_ids = inputs.ids.reshape(-1)
+    text_pos = np.flatnonzero(flat_ids != PATCH)
+    ts_pos = np.flatnonzero(flat_ids == PATCH)
 
     pieces = []
     if len(text_pos):
-        if text_ids.size and text_ids.max() >= config.vocab_size:
-            raise DataError(f"token id {int(text_ids.max())} >= vocab_size {config.vocab_size}")
+        text_ids = flat_ids[text_pos]
+        if text_ids.min() < 0 or text_ids.max() >= config.vocab_size:
+            raise DataError(f"token ids must be in [0, {config.vocab_size}) or {PATCH}")
         tok = T.gather_rows(params["tok_emb"], text_ids)
         pieces.append(T.scatter_rows(n, text_pos, tok))
     if len(ts_pos):
-        if ts_feats.shape[1] != 4 * config.patch_len:
+        if inputs.patches.ndim != 2 or inputs.patches.shape[1] != 4 * config.patch_len:
             raise DimensionError(f"patch features must be 4P={4 * config.patch_len} wide")
-        feats = Tensor(ts_feats.astype(params["patch_proj"].data.dtype))
+        feats = Tensor(inputs.patches.astype(params["patch_proj"].data.dtype))
         proj = T.matmul(feats, params["patch_proj"])
         proj = T.rmsnorm(proj, params["patch_norm"], NORM_EPS)
         pieces.append(T.scatter_rows(n, ts_pos, proj))
-    if not pieces:
-        raise DataError("empty layout")
     flat = pieces[0] if len(pieces) == 1 else T.add(pieces[0], pieces[1])
-    hidden = T.reshape(flat, (B, S, d))
+    hidden = T.reshape(flat, (B, S, config.d_model))
     return T.rmsnorm(hidden, params["post_emb_norm"], NORM_EPS)
 
 
@@ -308,13 +287,13 @@ def block_forward(params: dict[str, Tensor], config: ModelConfig, layer: int,
 
 
 def forward_hidden(params: dict[str, Tensor], config: ModelConfig,
-                   layouts: list[SequenceLayout], cache: Optional[KVCache] = None) -> Tensor:
+                   inputs: Inputs, cache: Optional[KVCache] = None) -> Tensor:
     """Full stack: embeddings, blocks, final norm -> [B, S, d]."""
-    hidden = embed_sequence(params, config, layouts)
+    hidden = embed_sequence(params, config, inputs)
     for layer in range(config.n_layers):
         hidden = block_forward(params, config, layer, hidden, cache)
     if cache is not None:
-        cache.advance(layouts[0].length)
+        cache.advance(inputs.ids.shape[1])
     return T.rmsnorm(hidden, params["final_norm"], NORM_EPS)
 
 

@@ -236,47 +236,43 @@ def constant(t, rng, overrides=None):
 
 # -- bank -----------------------------------------------------------------
 
-def _entry(category, name, fn):
-    return (category, name, fn)
-
-
 def build_kernel_bank() -> list[tuple[str, str, Kernel]]:
     short, long_ = (0.01, 0.1), (0.1, 1.0)
     p_short, p_long = (0.02, 0.1), (0.1, 0.5)
     bank = [
-        _entry("rbf", "rbf_short_a", lambda t, r, o=None: rbf_smooth(t, r, o, short)),
-        _entry("rbf", "rbf_short_b", lambda t, r, o=None: rbf_smooth(t, r, o, short)),
-        _entry("rbf", "rbf_short_c", lambda t, r, o=None: rbf_smooth(t, r, o, short)),
-        _entry("rbf", "rbf_long_a", lambda t, r, o=None: rbf_smooth(t, r, o, long_)),
-        _entry("rbf", "rbf_long_b", lambda t, r, o=None: rbf_smooth(t, r, o, long_)),
-        _entry("periodic", "periodic_short_a", lambda t, r, o=None: periodic(t, r, o, p_short)),
-        _entry("periodic", "periodic_short_b", lambda t, r, o=None: periodic(t, r, o, p_short)),
-        _entry("periodic", "periodic_short_c", lambda t, r, o=None: periodic(t, r, o, p_short)),
-        _entry("periodic", "periodic_long_a", lambda t, r, o=None: periodic(t, r, o, p_long)),
-        _entry("periodic", "periodic_long_b", lambda t, r, o=None: periodic(t, r, o, p_long)),
-        _entry("periodic_harmonics", "periodic_harmonics", periodic_harmonics),
-        _entry("rational_quadratic", "rq_short", lambda t, r, o=None: rational_quadratic(t, r, o, short)),
-        _entry("rational_quadratic", "rq_long", lambda t, r, o=None: rational_quadratic(t, r, o, long_)),
-        _entry("linear_trend", "linear_trend", linear_trend),
-        _entry("polynomial", "polynomial_a", polynomial),
-        _entry("polynomial", "polynomial_b", polynomial),
-        _entry("log_trend", "log_trend", log_trend),
-        _entry("random_walk", "random_walk_a", random_walk),
-        _entry("random_walk", "random_walk_b", random_walk),
-        _entry("level_shift", "level_shift", level_shift),
-        _entry("discrete_wave", "square_wave", square_wave),
-        _entry("discrete_wave", "triangle_wave", triangle_wave),
-        _entry("discrete_wave", "sawtooth_wave", sawtooth_wave),
-        _entry("damped_oscillation", "damped_oscillation_a", damped_oscillation),
-        _entry("damped_oscillation", "damped_oscillation_b", damped_oscillation),
-        _entry("white_noise", "white_noise_a", white_noise),
-        _entry("white_noise", "white_noise_b", white_noise),
-        _entry("white_noise", "white_noise_c", white_noise),
-        _entry("heteroskedastic_noise", "heteroskedastic_noise", heteroskedastic_noise),
-        _entry("periodic_noise", "periodic_noise", periodic_noise),
-        _entry("step_function", "step_function", step_function),
-        _entry("exponential_trend", "exponential_trend", exponential_trend),
-        _entry("constant", "constant", constant),
+        ("rbf", "rbf_short_a", lambda t, r, o=None: rbf_smooth(t, r, o, short)),
+        ("rbf", "rbf_short_b", lambda t, r, o=None: rbf_smooth(t, r, o, short)),
+        ("rbf", "rbf_short_c", lambda t, r, o=None: rbf_smooth(t, r, o, short)),
+        ("rbf", "rbf_long_a", lambda t, r, o=None: rbf_smooth(t, r, o, long_)),
+        ("rbf", "rbf_long_b", lambda t, r, o=None: rbf_smooth(t, r, o, long_)),
+        ("periodic", "periodic_short_a", lambda t, r, o=None: periodic(t, r, o, p_short)),
+        ("periodic", "periodic_short_b", lambda t, r, o=None: periodic(t, r, o, p_short)),
+        ("periodic", "periodic_short_c", lambda t, r, o=None: periodic(t, r, o, p_short)),
+        ("periodic", "periodic_long_a", lambda t, r, o=None: periodic(t, r, o, p_long)),
+        ("periodic", "periodic_long_b", lambda t, r, o=None: periodic(t, r, o, p_long)),
+        ("periodic_harmonics", "periodic_harmonics", periodic_harmonics),
+        ("rational_quadratic", "rq_short", lambda t, r, o=None: rational_quadratic(t, r, o, short)),
+        ("rational_quadratic", "rq_long", lambda t, r, o=None: rational_quadratic(t, r, o, long_)),
+        ("linear_trend", "linear_trend", linear_trend),
+        ("polynomial", "polynomial_a", polynomial),
+        ("polynomial", "polynomial_b", polynomial),
+        ("log_trend", "log_trend", log_trend),
+        ("random_walk", "random_walk_a", random_walk),
+        ("random_walk", "random_walk_b", random_walk),
+        ("level_shift", "level_shift", level_shift),
+        ("discrete_wave", "square_wave", square_wave),
+        ("discrete_wave", "triangle_wave", triangle_wave),
+        ("discrete_wave", "sawtooth_wave", sawtooth_wave),
+        ("damped_oscillation", "damped_oscillation_a", damped_oscillation),
+        ("damped_oscillation", "damped_oscillation_b", damped_oscillation),
+        ("white_noise", "white_noise_a", white_noise),
+        ("white_noise", "white_noise_b", white_noise),
+        ("white_noise", "white_noise_c", white_noise),
+        ("heteroskedastic_noise", "heteroskedastic_noise", heteroskedastic_noise),
+        ("periodic_noise", "periodic_noise", periodic_noise),
+        ("step_function", "step_function", step_function),
+        ("exponential_trend", "exponential_trend", exponential_trend),
+        ("constant", "constant", constant),
     ]
     return bank
 

@@ -16,6 +16,7 @@ synchronously inside the loop.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -132,7 +133,7 @@ class Trainer:
     # -- one update ------------------------------------------------------
     def train_step(self, batch: data.TrainBatch, lr_mult: float,
                    w_text: float, w_ts: float) -> dict:
-        hidden = M.forward_hidden(self.params, self.config, batch.layouts)
+        hidden = M.forward_hidden(self.params, self.config, batch.inputs)
         B, S, d = hidden.shape
         flat = T.reshape(hidden, (B * S, d))
 
@@ -239,9 +240,16 @@ class Trainer:
         return trainer
 
 
-def jsonl_sink(path: str):
-    """Append-mode JSONL metrics writer."""
-    fh = open(path, "a")
+def jsonl_sink(path: str, step: int = 0):
+    """JSONL metrics writer that first cuts ``path`` back to the records of
+    steps <= ``step``: a fresh run (step 0) starts the file empty, and a run
+    resumed from a checkpoint keeps what was written up to its step."""
+    kept = []
+    if step and os.path.exists(path):
+        kept = [r for r in codec.read_jsonl(path)
+                if isinstance(r.get("step"), int) and r["step"] <= step]
+    fh = open(path, "w")
+    fh.writelines(json.dumps(r) + "\n" for r in kept)
 
     def write(record: dict) -> None:
         fh.write(json.dumps(record) + "\n")

@@ -30,6 +30,11 @@ def criterion(num: int, desc: str):
     print(f"[criterion {num:2d}] PASS  {desc}")
 
 
+def patch_inputs(feats):
+    """One sequence of patch positions only."""
+    return M.Inputs(np.full((1, len(feats)), M.PATCH), feats)
+
+
 def warm_zero_inits(params, rng, scale=0.25):
     for name, p in params.items():
         if p.data.ndim == 2 and not p.data.any():
@@ -51,21 +56,19 @@ def test_criterion_1_gradient_fidelity():
         warm_zero_inits(params, rng)
         levels = losses.quantile_levels(cfg.n_quantiles)
 
-        # mixed layout: 10 text positions, 6 patch positions
+        # mixed input: 10 text positions, 6 patch positions
         pos = rng.permutation(16)
         text_pos = np.sort(pos[:10])
         ts_pos = np.sort(pos[10:])
-        layout = M.SequenceLayout(
-            length=16, text_pos=text_pos,
-            text_ids=rng.integers(0, cfg.vocab_size, 10),
-            ts_pos=ts_pos,
-            ts_features=rng.normal(size=(6, 4 * cfg.patch_len)))
+        ids = np.full((1, 16), M.PATCH)
+        ids[0, text_pos] = rng.integers(0, cfg.vocab_size, 10)
+        inputs = M.Inputs(ids, rng.normal(size=(6, 4 * cfg.patch_len)))
         text_targets = rng.integers(0, cfg.vocab_size, 10)
         ts_targets = rng.normal(size=(6, cfg.patch_len))
         ts_mask = (rng.random((6, cfg.patch_len)) < 0.8).astype(float)
 
         def objective():
-            hidden = M.forward_hidden(params, cfg, [layout])
+            hidden = M.forward_hidden(params, cfg, inputs)
             flat = T.reshape(hidden, (16, cfg.d_model))
             ce, _ = losses.lm_loss(params, T.index(flat, (text_pos,)), text_targets)
             q_hat = losses.quantile_head(params, cfg, T.index(flat, (ts_pos,)))
@@ -193,7 +196,7 @@ def test_criterion_5_kv_cache_equivalence():
             collected = []
             with T.no_grad():
                 for step in range(horizon // P):
-                    hidden = M.forward_hidden(params, cfg, [M.ts_only_layout(feats)])
+                    hidden = M.forward_hidden(params, cfg, patch_inputs(feats))
                     last = T.index(hidden, (0, slice(feats.shape[0] - 1, feats.shape[0])))
                     q_sorted = np.sort(losses.quantile_head(params, cfg, last).data[0], axis=-1)
                     collected.append(q_sorted)
@@ -208,11 +211,11 @@ def test_criterion_5_kv_cache_equivalence():
 
         # causality: perturbing later patch features leaves earlier states bit-identical
         feats = rng.normal(size=(10, 4 * P)).astype(np.float32)
-        base = M.forward_hidden(params, cfg, [M.ts_only_layout(feats)]).data
+        base = M.forward_hidden(params, cfg, patch_inputs(feats)).data
         for cut in (2, 5, 8):
             bumped = feats.copy()
             bumped[cut:] = rng.normal(size=bumped[cut:].shape)
-            out = M.forward_hidden(params, cfg, [M.ts_only_layout(bumped)]).data
+            out = M.forward_hidden(params, cfg, patch_inputs(bumped)).data
             assert out[0, :cut].tobytes() == base[0, :cut].tobytes()
 
 
@@ -334,7 +337,7 @@ def corpus_ce(params, cfg, ids):
     with T.no_grad():
         for _ in range(max(1, len(ids) // 128) + 1):
             batch = data.build_text_batch(stream, 128, 1)
-            hidden = M.forward_hidden(params, cfg, batch.layouts)
+            hidden = M.forward_hidden(params, cfg, batch.inputs)
             flat = T.reshape(hidden, (128, cfg.d_model))
             ce, n = losses.lm_loss(params, flat, batch.text_targets[0])
             total += ce.item() * n
@@ -456,12 +459,13 @@ def test_criterion_9_repetition_mechanics():
         n_patches = feats.shape[0]
         text_ids = list(range(6))
         for r in (1, 2, 64):
-            layout = inference.build_repeat_layout(cfg, feats, text_ids, repeat=r)
-            assert len(layout.ts_pos) == r * n_patches
+            inputs = inference.build_repeat_layout(feats, text_ids, repeat=r)
+            n_ts = int((inputs.ids == M.PATCH).sum())
+            assert n_ts == r * n_patches
             for k in range(r):
-                block = layout.ts_features[k * n_patches:(k + 1) * n_patches]
+                block = inputs.patches[k * n_patches:(k + 1) * n_patches]
                 assert np.array_equal(block, feats)
-            share = len(layout.ts_pos) / layout.length
+            share = n_ts / inputs.ids.shape[1]
             assert share == r * n_patches / (r * n_patches + len(text_ids))
         assert series.values.tobytes() == before
 

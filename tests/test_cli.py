@@ -447,9 +447,7 @@ def test_train_hash_covers_data_files_and_stage(workdir):
         (workdir / path).write_bytes(raw)
     assert _train_manifest("--config", "run.toml", "--stage", "1")["config_hash"] \
         != base["config_hash"]
-    # the config's own name and its data files' names do not count; a fresh
-    # out_dir, because metrics.jsonl is appended to
-    shutil.rmtree("run_out")
+    # the config's own name and its data files' names do not count
     shutil.copy("corpus.txt", "corpus2.txt")
     (workdir / "other.toml").write_text(
         (workdir / "run.toml").read_text().replace('"corpus.txt"', '"corpus2.txt"'))
@@ -471,3 +469,21 @@ def test_train_resume_file_is_hashed_before_the_run_overwrites_it(workdir):
     assert resumed["inputs"]["run_out/stage1.ckpt"] == _sha256("saved.ckpt")
     from_copy = _train_manifest("--config", "long.toml", "--stage", "1", "--resume", "saved.ckpt")
     assert from_copy["config_hash"] == resumed["config_hash"]
+
+
+def test_train_twice_into_one_out_dir_same_metrics(workdir):
+    _write_training_fixture(workdir)
+    assert run("--seed", "1", "train", "--config", "run.toml") == 0
+    first = (workdir / "run_out" / "metrics.jsonl").read_bytes()
+    assert run("--seed", "1", "train", "--config", "run.toml") == 0
+    assert (workdir / "run_out" / "metrics.jsonl").read_bytes() == first
+
+
+def test_train_resume_cuts_metrics_back_to_the_checkpoint(workdir):
+    _write_training_fixture(workdir)
+    assert run("--seed", "1", "train", "--config", "run.toml", "--stage", "all") == 0
+    first = (workdir / "run_out" / "metrics.jsonl").read_bytes()
+    assert [json.loads(line)["step"] for line in first.splitlines()] == [2, 4, 6, 7, 8, 9]
+    assert run("--seed", "1", "train", "--config", "run.toml", "--stage", "2",
+               "--resume", "run_out/stage1.ckpt") == 0
+    assert (workdir / "run_out" / "metrics.jsonl").read_bytes() == first

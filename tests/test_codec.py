@@ -86,13 +86,13 @@ def test_channel_ramp(n, expect):
 
 def test_patchify_exact_fit():
     pb = codec.patchify(codec.RawSeries(np.arange(64.0)), patch_len=32)
-    assert pb.n_patches == 2
+    assert len(pb.features) == 2
     assert pb.validity.all()
 
 
 def test_patchify_partial_patch():
     pb = codec.patchify(codec.RawSeries(np.arange(33.0)), patch_len=32)
-    assert pb.n_patches == 2
+    assert len(pb.features) == 2
     assert pb.validity[1].sum() == 1
 
 
@@ -131,7 +131,7 @@ def test_feature_vector_assembled_by_hand():
 def test_multichannel_layout_and_ramp_reset():
     values = np.stack([np.arange(6.0), np.arange(6.0) * 2])
     pb = codec.patchify(codec.RawSeries(values), patch_len=4)
-    assert pb.n_patches == 4  # 2 per channel
+    assert len(pb.features) == 4  # 2 per channel
     assert [s.start for s in pb.channel_slices] == [0, 2]
     P = 4
     # ramp block restarts at the channel boundary

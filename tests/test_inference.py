@@ -87,9 +87,9 @@ def test_forecast_incremental_equals_full_recompute():
     collected = []
     with T.no_grad():
         for step in range(2):
-            layout = M.ts_only_layout(feats)
-            hidden = M.forward_hidden(params, cfg, [layout])
-            last = T.index(hidden, (0, slice(layout.length - 1, layout.length)))
+            inputs = M.Inputs(np.full((1, len(feats)), M.PATCH), feats)
+            hidden = M.forward_hidden(params, cfg, inputs)
+            last = T.index(hidden, (0, slice(len(feats) - 1, len(feats))))
             q_hat = losses.quantile_head(params, cfg, last).data[0]
             q_sorted = np.sort(q_hat, axis=-1)
             collected.append(q_sorted)
@@ -140,10 +140,9 @@ def test_repeat_layout_contains_exact_copies():
     rng = np.random.default_rng(0)
     block = rng.normal(size=(3, 4 * cfg.patch_len)).astype(np.float32)
     for r in (1, 2, 64):
-        layout = inference.build_repeat_layout(tiny_config(max_seq=512), block,
-                                               text_ids=[5, 9], repeat=r)
-        assert layout.length == 2 + r * 3
-        tiled = layout.ts_features
+        inputs = inference.build_repeat_layout(block, text_ids=[5, 9], repeat=r)
+        assert inputs.ids.tolist() == [[5, 9] + [M.PATCH] * (r * 3)]
+        tiled = inputs.patches
         for k in range(r):
             assert np.array_equal(tiled[k * 3:(k + 1) * 3], block)
 
@@ -154,7 +153,7 @@ def test_repeat_leaves_series_unchanged():
     series = codec.RawSeries(values)
     before = series.values.tobytes()
     feats = codec.patchify(series, cfg.patch_len).features
-    inference.build_repeat_layout(cfg, feats, repeat=4)
+    inference.build_repeat_layout(feats, repeat=4)
     assert series.values.tobytes() == before
 
 
@@ -163,17 +162,16 @@ def test_ts_position_share():
     block = np.zeros((4, 4 * cfg.patch_len), dtype=np.float32)
     n_text = 6
     for r in (1, 2, 8):
-        layout = inference.build_repeat_layout(cfg, block, list(range(n_text)), repeat=r)
-        share = len(layout.ts_pos) / layout.length
+        inputs = inference.build_repeat_layout(block, list(range(n_text)), repeat=r)
+        share = (inputs.ids == M.PATCH).sum() / inputs.ids.shape[1]
         assert share == r * 4 / (r * 4 + n_text)
 
 
 def test_single_position_embedding_is_that_state():
     cfg = tiny_config()
     params = warm_params(cfg, seed=17)
-    layout = M.text_only_layout(np.array([7]))
     with T.no_grad():
-        hidden = M.forward_hidden(params, cfg, [layout])
+        hidden = M.forward_hidden(params, cfg, M.Inputs(np.array([[7]])))
     emb = inference.extract_embedding(params, cfg, text_ids=[7])
     assert np.allclose(emb, hidden.data[0, 0])
 

@@ -5,7 +5,7 @@ import pytest
 
 from patchlm import model as M
 from patchlm import tensor as T
-from patchlm.errors import CacheError, ConfigError, DataError
+from patchlm.errors import CacheError, ConfigError, DataError, DimensionError
 from patchlm.tensor import Tensor
 
 CFG = M.ModelConfig()
@@ -18,18 +18,21 @@ def tiny_config(**kw):
     return M.ModelConfig(**base)
 
 
-def random_layout(rng, config, length, n_text=None):
+def random_inputs(rng, config, length, n_text=None):
     n_text = length // 2 if n_text is None else n_text
-    pos = rng.permutation(length)
-    text_pos = np.sort(pos[:n_text])
-    ts_pos = np.sort(pos[n_text:])
-    return M.SequenceLayout(
-        length=length,
-        text_pos=text_pos,
-        text_ids=rng.integers(0, config.vocab_size, size=n_text),
-        ts_pos=ts_pos,
-        ts_features=rng.normal(size=(length - n_text, 4 * config.patch_len)).astype(np.float32),
-    )
+    ids = np.full(length, M.PATCH)
+    ids[np.sort(rng.permutation(length)[:n_text])] = rng.integers(0, config.vocab_size,
+                                                                  size=n_text)
+    patches = rng.normal(size=(length - n_text, 4 * config.patch_len)).astype(np.float32)
+    return M.Inputs(ids[None, :], patches)
+
+
+def text_inputs(ids):
+    return M.Inputs(np.asarray(ids)[None, :])
+
+
+def patch_inputs(feats):
+    return M.Inputs(np.full((1, len(feats)), M.PATCH), feats)
 
 
 # -- config ------------------------------------------------------------
@@ -142,8 +145,8 @@ def test_zero_patch_proj_gives_zero_embedding():
     cfg = tiny_config()
     params = M.init_params(cfg, seed=0)
     params["patch_proj"].data[:] = 0.0
-    layout = M.ts_only_layout(np.ones((3, 4 * cfg.patch_len), dtype=np.float32))
-    hidden = M.embed_sequence(params, cfg, [layout])
+    inputs = patch_inputs(np.ones((3, 4 * cfg.patch_len), dtype=np.float32))
+    hidden = M.embed_sequence(params, cfg, inputs)
     assert np.allclose(hidden.data, 0.0)
 
 
@@ -151,7 +154,7 @@ def test_one_hot_token_embedding_is_table_row_normed():
     cfg = tiny_config()
     params = M.init_params(cfg, seed=1)
     k = 7
-    hidden = M.embed_sequence(params, cfg, [M.text_only_layout(np.array([k]))])
+    hidden = M.embed_sequence(params, cfg, text_inputs([k]))
     row = params["tok_emb"].data[k].astype(np.float64)
     expect = row / np.sqrt(np.mean(row * row) + M.NORM_EPS)
     assert np.allclose(hidden.data[0, 0], expect, atol=1e-5)
@@ -160,10 +163,9 @@ def test_one_hot_token_embedding_is_table_row_normed():
 def test_mixed_layout_shape():
     cfg = tiny_config()
     params = M.init_params(cfg, seed=2)
-    layout = M.SequenceLayout(
-        length=3, text_pos=np.array([0, 2]), text_ids=np.array([1, 4]),
-        ts_pos=np.array([1]), ts_features=np.ones((1, 4 * cfg.patch_len), dtype=np.float32))
-    hidden = M.embed_sequence(params, cfg, [layout])
+    inputs = M.Inputs(np.array([[1, M.PATCH, 4]]),
+                      np.ones((1, 4 * cfg.patch_len), dtype=np.float32))
+    hidden = M.embed_sequence(params, cfg, inputs)
     assert hidden.shape == (1, 3, cfg.d_model)
 
 
@@ -171,12 +173,35 @@ def test_token_id_out_of_range():
     cfg = tiny_config()
     params = M.init_params(cfg, seed=0)
     with pytest.raises(DataError):
-        M.embed_sequence(params, cfg, [M.text_only_layout(np.array([cfg.vocab_size]))])
+        M.embed_sequence(params, cfg, text_inputs([cfg.vocab_size]))
 
 
-def test_layout_positions_must_partition():
-    with pytest.raises(DataError):
-        M.SequenceLayout(length=2, text_pos=np.array([0, 0]), text_ids=np.array([1, 1]))
+def test_inputs_checks():
+    cfg = tiny_config()
+    params = M.init_params(cfg, seed=0)
+    row = np.ones((1, 4 * cfg.patch_len), dtype=np.float32)
+    with pytest.raises(DataError):  # two patch ids, one patch row
+        M.Inputs(np.array([[1, M.PATCH, M.PATCH]]), row)
+    with pytest.raises(DataError):  # a patch row without a patch id
+        M.Inputs(np.array([[1, 2]]), row)
+    for ids in (np.array([1, 2]), np.ones((1, 1, 2)), np.zeros((1, 0)), np.zeros((0, 3))):
+        with pytest.raises(DataError):
+            M.Inputs(ids)
+    for bad_id in (-2, cfg.vocab_size):
+        with pytest.raises(DataError):
+            M.embed_sequence(params, cfg, text_inputs([1, bad_id]))
+    with pytest.raises(DimensionError):
+        M.embed_sequence(params, cfg, M.Inputs([[M.PATCH]], np.ones((1, 4 * cfg.patch_len + 1))))
+
+
+def test_patch_rows_fill_positions_in_row_major_order():
+    cfg = tiny_config()
+    params = M.init_params(cfg, seed=3)
+    rows = np.random.default_rng(0).normal(size=(3, 4 * cfg.patch_len)).astype(np.float32)
+    batch = M.embed_sequence(params, cfg, M.Inputs([[M.PATCH, 5, M.PATCH], [2, M.PATCH, 7]], rows))
+    first = M.embed_sequence(params, cfg, M.Inputs([[M.PATCH, 5, M.PATCH]], rows[:2]))
+    second = M.embed_sequence(params, cfg, M.Inputs([[2, M.PATCH, 7]], rows[2:]))
+    assert np.allclose(batch.data, np.concatenate([first.data, second.data]), rtol=0, atol=1e-6)
 
 
 # -- attention / blocks ------------------------------------------------
@@ -185,8 +210,8 @@ def test_block_identity_at_init():
     cfg = tiny_config()
     params = M.init_params(cfg, seed=4)
     rng = np.random.default_rng(0)
-    layout = random_layout(rng, cfg, 6)
-    embedded = M.embed_sequence(params, cfg, [layout])
+    inputs = random_inputs(rng, cfg, 6)
+    embedded = M.embed_sequence(params, cfg, inputs)
     out = M.block_forward(params, cfg, 0, embedded)
     assert np.allclose(out.data, embedded.data, atol=1e-7)
 
@@ -195,9 +220,9 @@ def test_stack_is_identity_plus_finalnorm_at_init():
     cfg = tiny_config()
     params = M.init_params(cfg, seed=5)
     rng = np.random.default_rng(1)
-    layout = random_layout(rng, cfg, 5)
-    embedded = M.embed_sequence(params, cfg, [layout]).data
-    hidden = M.forward_hidden(params, cfg, [layout]).data
+    inputs = random_inputs(rng, cfg, 5)
+    embedded = M.embed_sequence(params, cfg, inputs).data
+    hidden = M.forward_hidden(params, cfg, inputs).data
     d = cfg.d_model
     expect = embedded / np.sqrt((embedded ** 2).mean(-1, keepdims=True) + M.NORM_EPS)
     assert np.allclose(hidden, expect, atol=1e-6)
@@ -245,11 +270,11 @@ def test_causality_bit_exact():
         if p.data.ndim == 2 and not p.data.any():
             p.data[:] = rng.normal(0, 0.2, size=p.shape).astype(np.float32)
     feats = rng.normal(size=(8, 4 * cfg.patch_len)).astype(np.float32)
-    base = M.forward_hidden(params, cfg, [M.ts_only_layout(feats)]).data
+    base = M.forward_hidden(params, cfg, patch_inputs(feats)).data
     for t in (3, 6):
         bumped = feats.copy()
         bumped[t:] = rng.normal(size=bumped[t:].shape)
-        out = M.forward_hidden(params, cfg, [M.ts_only_layout(bumped)]).data
+        out = M.forward_hidden(params, cfg, patch_inputs(bumped)).data
         assert out[0, :t].tobytes() == base[0, :t].tobytes()
 
 
@@ -262,12 +287,12 @@ def test_kv_cache_matches_full_recompute():
             p.data[:] = rng.normal(0, 0.2, size=p.shape).astype(np.float32)
     feats = rng.normal(size=(7, 4 * cfg.patch_len)).astype(np.float32)
     with T.no_grad():
-        full = M.forward_hidden(params, cfg, [M.ts_only_layout(feats)]).data
+        full = M.forward_hidden(params, cfg, patch_inputs(feats)).data
         cache = M.KVCache(cfg)
         inc = []
         chunks = [feats[:4], feats[4:5], feats[5:7]]
         for chunk in chunks:
-            out = M.forward_hidden(params, cfg, [M.ts_only_layout(chunk)], cache=cache)
+            out = M.forward_hidden(params, cfg, patch_inputs(chunk), cache=cache)
             inc.append(out.data)
     inc = np.concatenate(inc, axis=1)
     assert np.allclose(inc, full, atol=1e-5)
@@ -279,7 +304,7 @@ def test_kv_cache_rejects_training_graph():
     params = M.init_params(cfg, seed=9)
     feats = np.ones((2, 4 * cfg.patch_len), dtype=np.float32)
     with pytest.raises(CacheError):
-        M.forward_hidden(params, cfg, [M.ts_only_layout(feats)], cache=M.KVCache(cfg))
+        M.forward_hidden(params, cfg, patch_inputs(feats), cache=M.KVCache(cfg))
 
 
 def test_kv_cache_advance_guard():
@@ -295,11 +320,11 @@ def test_full_stack_gradcheck_fd():
     for name, p in params.items():
         if p.data.ndim == 2 and not p.data.any():
             p.data[:] = rng.normal(0, 0.3, size=p.shape)
-    layout = random_layout(rng, cfg, 4)
+    inputs = random_inputs(rng, cfg, 4)
     probe = Tensor(rng.normal(size=(1, 4, cfg.d_model)))
 
     def loss():
-        h = M.forward_hidden(params, cfg, [layout])
+        h = M.forward_hidden(params, cfg, inputs)
         return T.tmean(T.mul(h, T.mul(h, probe)))
 
     report = T.grad_check(loss, list(params.items()), samples_per_param=4,

@@ -50,10 +50,10 @@ def test_build_text_batch_shift(vocab):
     stream = data.TokenStream(np.arange(100))
     batch = data.build_text_batch(stream, seq_len=10, micro_batch=2)
     assert batch.modality == "text"
-    l0 = batch.layouts[0]
-    assert np.array_equal(l0.text_ids[1:], batch.text_targets[0][:-1])
-    assert batch.n_text_supervised == 20
-    assert batch.n_ts_supervised == 0
+    assert np.array_equal(batch.inputs.ids[:, 1:], batch.text_targets[:, :-1])
+    assert len(batch.inputs.patches) == 0
+    assert (batch.text_targets >= 0).sum() == 20
+    assert not batch.ts_mask.any()
 
 
 # -- ts batches ----------------------------------------------------------
@@ -67,7 +67,7 @@ def test_build_ts_batch_shift_arithmetic():
     # 4 patches, supervision on the first 3 (causal shift by one patch)
     assert batch.ts_mask[0, :3].all()
     assert not batch.ts_mask[0, 3].any()
-    feats = batch.layouts[0].ts_features
+    feats = batch.inputs.patches
     # target of position 0 is the value block of position 1
     assert np.allclose(batch.ts_targets[0, 0], feats[1][P:2 * P])
 
@@ -93,7 +93,8 @@ def test_build_ts_batch_packs_multiple_series():
 
     batch = data.build_ts_batch(source, seq_len=7, micro_batch=1, patch_len=P)
     assert calls["n"] == 4  # 2 patches each, last one truncated to fit 7
-    assert batch.layouts[0].ts_features.shape == (7, 4 * P)
+    assert (batch.inputs.ids == M.PATCH).all()
+    assert batch.inputs.patches.shape == (7, 4 * P)
 
 
 # -- interleaved -----------------------------------------------------------
@@ -102,9 +103,9 @@ def test_interleaved_pure_text_reduces_to_text(vocab):
     cfg = tiny_config()
     batch = data.build_interleaved_batch([[("text", b"hello world")]], vocab,
                                          seq_len=16, patch_len=cfg.patch_len)
-    assert len(batch.layouts[0].ts_pos) == 0
-    assert batch.n_text_supervised > 0
-    assert batch.n_ts_supervised == 0
+    assert len(batch.inputs.patches) == 0
+    assert (batch.text_targets >= 0).any()
+    assert not batch.ts_mask.any()
 
 
 def test_interleaved_dual_masks_and_order(vocab):
@@ -114,18 +115,14 @@ def test_interleaved_dual_masks_and_order(vocab):
     batch = data.build_interleaved_batch(
         [[("text", b"rising pattern"), ("series", series)]], vocab,
         seq_len=32, patch_len=P)
-    layout = batch.layouts[0]
-    assert batch.n_text_supervised > 0
-    assert batch.n_ts_supervised > 0
+    ids = batch.inputs.ids[0]
+    assert (batch.text_targets >= 0).any()
+    assert batch.ts_mask.any()
     # segment order preserved: every text position of the caption precedes the patches
-    first_ts = layout.ts_pos.min()
-    sentinel_pos = first_ts - 1
-    assert sentinel_pos in layout.text_pos
-    idx = list(layout.text_pos).index(sentinel_pos)
-    assert layout.text_ids[idx] == vocab.specials["<|ts_begin|>"]
-    after = layout.ts_pos.max() + 1
-    idx_after = list(layout.text_pos).index(after)
-    assert layout.text_ids[idx_after] == vocab.specials["<|ts_end|>"]
+    ts_pos = np.flatnonzero(ids == M.PATCH)
+    sentinel_pos = ts_pos.min() - 1
+    assert ids[sentinel_pos] == vocab.specials["<|ts_begin|>"]
+    assert ids[ts_pos.max() + 1] == vocab.specials["<|ts_end|>"]
     # no CE target at the boundary into the ts block
     assert batch.text_targets[0, sentinel_pos] == -1
 
@@ -136,10 +133,65 @@ def test_interleaved_loss_routing(vocab):
     series = codec.RawSeries(np.arange(4 * P, dtype=float))
     batch = data.build_interleaved_batch(
         [[("text", b"count up"), ("series", series)]], vocab, seq_len=24, patch_len=P)
-    ts_positions = batch.layouts[0].ts_pos
-    text_positions = batch.layouts[0].text_pos
+    ts_positions = np.flatnonzero(batch.inputs.ids[0] == M.PATCH)
+    text_positions = np.flatnonzero(batch.inputs.ids[0] != M.PATCH)
     assert not np.any(batch.ts_mask[0][text_positions].any(axis=1))
     assert np.all(batch.text_targets[0][ts_positions] == -1)
+
+
+def test_interleaved_cut_inside_series(vocab):
+    P = 4
+    series = codec.RawSeries(np.arange(3 * P, dtype=float))  # 3 whole patches
+    feats = codec.patchify(series, P).features
+    up = bpe.encode(b"up", vocab)
+    n = len(up)
+    ts_begin = vocab.specials["<|ts_begin|>"]
+    S = n + 3  # room for <|ts_begin|> and 2 of the 3 patches
+    batch = data.build_interleaved_batch([[("text", b"up"), ("series", series)]], vocab,
+                                         seq_len=S, patch_len=P)
+    assert batch.inputs.ids.tolist() == [up + [ts_begin, M.PATCH, M.PATCH]]
+    assert np.array_equal(batch.inputs.patches, feats[:2])
+    # each kept patch targets its successor's values, the cut-off third one included
+    expect_targets = np.zeros((1, S, P), dtype=np.float32)
+    expect_targets[0, n + 1] = feats[1, P:2 * P]
+    expect_targets[0, n + 2] = feats[2, P:2 * P]
+    expect_mask = np.zeros((1, S, P), dtype=np.float32)
+    expect_mask[0, n + 1:] = 1.0
+    assert np.array_equal(batch.ts_targets, expect_targets)
+    assert np.array_equal(batch.ts_mask, expect_mask)
+    # CE through <|ts_begin|>; none into the patches, none at the last position
+    assert batch.text_targets.tolist() == [up[1:] + [ts_begin] + [-1] * 3]
+
+    cut_text = data.build_interleaved_batch([[("text", b"up"), ("series", series)]], vocab,
+                                            seq_len=n, patch_len=P)
+    assert cut_text.inputs.ids.tolist() == [up]
+    assert cut_text.text_targets.tolist() == [up[1:] + [-1]]  # the next token is cut off
+
+
+def test_interleaved_short_sample_padded_with_unsupervised_eos(vocab):
+    P = 4
+    series = codec.RawSeries(np.arange(2 * P, dtype=float))  # 2 whole patches
+    feats = codec.patchify(series, P).features
+    up = bpe.encode(b"up", vocab)
+    n = len(up)
+    eos = vocab.specials["<|eos|>"]
+    ts_begin, ts_end = vocab.specials["<|ts_begin|>"], vocab.specials["<|ts_end|>"]
+    batch = data.build_interleaved_batch([[("text", b"up")], [("series", series)]], vocab,
+                                         seq_len=8, patch_len=P)
+    assert batch.inputs.ids.tolist() == [
+        up + [eos] * (8 - n),
+        [ts_begin, M.PATCH, M.PATCH, ts_end, eos, eos, eos, eos]]
+    assert np.array_equal(batch.inputs.patches, feats)
+    # the sample's own <|eos|> is a target; the padding after it is not
+    assert batch.text_targets.tolist() == [
+        up[1:] + [eos] + [-1] * (8 - n),
+        [-1, -1, -1, eos, -1, -1, -1, -1]]
+    expect_targets = np.zeros((2, 8, P), dtype=np.float32)
+    expect_targets[1, 1] = feats[1, P:2 * P]
+    expect_mask = np.zeros((2, 8, P), dtype=np.float32)
+    expect_mask[1, 1] = 1.0
+    assert np.array_equal(batch.ts_targets, expect_targets)
+    assert np.array_equal(batch.ts_mask, expect_mask)
 
 
 # -- modality sampling --------------------------------------------------------
@@ -163,9 +215,9 @@ def test_all_masked_batch_no_update(vocab):
     trainer = training.Trainer(cfg, seed=0)
     before = {k: v.data.copy() for k, v in trainer.params.items()}
     P = cfg.patch_len
-    layout = M.ts_only_layout(np.zeros((4, 4 * P), dtype=np.float32))
+    inputs = M.Inputs(np.full((1, 4), M.PATCH), np.zeros((4, 4 * P), dtype=np.float32))
     batch = data.TrainBatch(
-        layouts=[layout],
+        inputs=inputs,
         text_targets=np.full((1, 4), -1, dtype=np.int64),
         ts_targets=np.zeros((1, 4, P), dtype=np.float32),
         ts_mask=np.zeros((1, 4, P), dtype=np.float32),
@@ -242,7 +294,7 @@ def test_loss_routing_zeroing(vocab):
         for _ in range(2)
     ]
     batch = data.build_interleaved_batch(samples, vocab, 24, cfg.patch_len)
-    assert batch.n_ts_supervised > 0
+    assert batch.ts_mask.any()
 
     def losses_of(b):
         t = training.Trainer(cfg, seed=4)
@@ -250,11 +302,11 @@ def test_loss_routing_zeroing(vocab):
         return m["ce"], m["ql"]
 
     ce0, ql0 = losses_of(batch)
-    zero_ts = data.TrainBatch(batch.layouts, batch.text_targets,
+    zero_ts = data.TrainBatch(batch.inputs, batch.text_targets,
                               np.zeros_like(batch.ts_targets), batch.ts_mask, "interleaved")
     ce1, ql1 = losses_of(zero_ts)
     assert ce1 == ce0 and ql1 != ql0
-    zero_text = data.TrainBatch(batch.layouts, np.full_like(batch.text_targets, -1),
+    zero_text = data.TrainBatch(batch.inputs, np.full_like(batch.text_targets, -1),
                                 batch.ts_targets, batch.ts_mask, "interleaved")
     ce2, ql2 = losses_of(zero_text)
     assert ce2 == 0.0 and ql2 == ql0
