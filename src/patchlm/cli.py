@@ -404,7 +404,6 @@ def build_parser() -> argparse.ArgumentParser:
     ev_fc = ev.add_parser("forecast")
     ev_fc.add_argument("--pred", type=InputPath, required=True)
     ev_fc.add_argument("--truth", type=InputPath, required=True)
-    ev_fc.add_argument("--baseline", choices=("seasonal-naive",), default="seasonal-naive")
     ev_fc.add_argument("--season", type=int, default=0, help="0 = derive from freq tag")
     ev_fc.add_argument("--out", required=True)
     _common_flags(ev_fc)

@@ -104,7 +104,11 @@ def _series_patch_rows(series: codec.RawSeries, patch_len: int):
 
 def build_ts_batch(source: Callable[[], codec.RawSeries], seq_len: int,
                    micro_batch: int, patch_len: int) -> TrainBatch:
-    """Pack whole series (channel by channel) until seq_len positions fill."""
+    """Pack whole series (channel by channel) until seq_len positions fill.
+
+    A channel cut at seq_len keeps the target of its last kept row: the
+    next patch exists in the series even though it is not in the batch.
+    """
     P = patch_len
     rows: list[np.ndarray] = []
     targets = np.zeros((micro_batch, seq_len, P), dtype=np.float32)
@@ -120,9 +124,6 @@ def build_ts_batch(source: Callable[[], codec.RawSeries], seq_len: int,
                 targets[b, pos:pos + take] = tgt[:take]
                 mask[b, pos:pos + take] = msk[:take]
                 pos += take
-                if take < len(feats):  # truncated: last kept row loses its target
-                    targets[b, pos - 1] = 0.0
-                    mask[b, pos - 1] = 0.0
     ids = np.full((micro_batch, seq_len), PATCH, dtype=np.int64)
     return TrainBatch(inputs=Inputs(ids, np.concatenate(rows, axis=0)),
                       text_targets=np.full((micro_batch, seq_len), -1, dtype=np.int64),

@@ -93,7 +93,7 @@ def forecast_values(params: dict[str, Tensor], config: M.ModelConfig,
         cache = M.KVCache(config)
         hidden = M.forward_hidden(params, config, _text_then_patches(text_ids, feats),
                                   cache=cache)
-        last = T.index(hidden, (0, slice(-1, None)))
+        last = Tensor(hidden.data[0, -1:])
         for step in range(n_steps):
             q_hat = losses.quantile_head(params, config, last).data[0]  # [P, Q]
             q_sorted = np.sort(q_hat, axis=-1)
@@ -105,7 +105,7 @@ def forecast_values(params: dict[str, Tensor], config: M.ModelConfig,
                 median_patch, padded_len, padded_len + step * P, P)
             hidden = M.forward_hidden(params, config, _text_then_patches((), feats_next),
                                       cache=cache)
-            last = T.index(hidden, (0, slice(0, 1)))
+            last = Tensor(hidden.data[0, :1])
 
     normed = np.concatenate(collected, axis=0)[:horizon]       # [H, Q]
     # one channel, so the [1, 1] stats broadcast over [H, Q]; sinh keeps the sort order

@@ -63,9 +63,15 @@ def pinball(u: Tensor, levels: np.ndarray) -> Tensor:
 
 def masked_quantile_loss(q_hat: Tensor, targets: np.ndarray, mask: np.ndarray,
                          levels: np.ndarray) -> tuple[Tensor, float]:
-    """sum(z * rho_tau(y - q_hat)) / (Q * sum(z)); empty mask -> 0, weight 0."""
+    """sum(z * rho_tau(y - q_hat)) / (Q * sum(z)); empty mask -> 0, weight 0.
+
+    With no rows at all the loss is that constant whatever the patch width
+    of ``targets`` and ``mask``: a text batch carries [B, S, 1] TS arrays.
+    """
     targets = np.asarray(targets, dtype=q_hat.data.dtype)
     mask = np.asarray(mask, dtype=q_hat.data.dtype)
+    if q_hat.shape[:1] == targets.shape[:1] == mask.shape[:1] == (0,):
+        return Tensor(np.zeros((), dtype=q_hat.dtype)), 0.0
     if q_hat.shape[:-1] != targets.shape or targets.shape != mask.shape:
         raise DimensionError(
             f"shapes disagree: q_hat {q_hat.shape}, targets {targets.shape}, mask {mask.shape}")

@@ -6,9 +6,10 @@ and ``PATCH`` (-1) at each patch position, plus one 4P feature row per
 patch position in row-major order.  Text enters through a tied embedding
 table, patches through a bias-free projection of the 4P feature vector
 followed by RMSNorm.  Blocks are pre-norm RMSNorm with grouped-query
-causal attention (RoPE, per-head QK RMSNorm) and a SwiGLU MLP.  Attention
-output projections, SwiGLU w3, and the quantile head start at zero so the
-whole stack is the identity on the residual stream at initialization.
+causal attention (per-head QK RMSNorm, then RoPE as one fused
+``tensor.rope`` node) and a SwiGLU MLP.  Attention output projections,
+SwiGLU w3, and the quantile head start at zero so the whole stack is the
+identity on the residual stream at initialization.
 """
 
 from __future__ import annotations
@@ -156,16 +157,8 @@ def rope_tables(positions: np.ndarray, head_dim: int, base: float, dtype) -> tup
 
 def rope_apply(x: Tensor, positions: np.ndarray, base: float) -> Tensor:
     """Rotate [B, H, S, hd] per-pair by position-dependent angles."""
-    hd = x.shape[-1]
-    cos, sin = rope_tables(positions, hd, base, x.data.dtype)
-    cos = cos[None, None, :, :]
-    sin = sin[None, None, :, :]
-    half = hd // 2
-    x1 = T.index(x, (Ellipsis, slice(0, half)))
-    x2 = T.index(x, (Ellipsis, slice(half, hd)))
-    out1 = T.sub(T.mul_const(x1, cos), T.mul_const(x2, sin))
-    out2 = T.add(T.mul_const(x1, sin), T.mul_const(x2, cos))
-    return T.concat([out1, out2], axis=-1)
+    cos, sin = rope_tables(positions, x.shape[-1], base, x.data.dtype)
+    return T.rope(x, cos, sin)
 
 
 def soft_cap(logits: Tensor, alpha: float) -> Tensor:

@@ -13,7 +13,7 @@ Design rules kept deliberately strict so every backward rule stays auditable:
 Training math runs in float32; ``grad_check`` demands float64 so the
 central-finite-difference oracle is tight.
 
-Two fused ops carry the hot paths of a train step:
+Three fused ops carry the hot paths of a train step:
 
 * ``softcapped_cross_entropy`` -- the vocab head and its mean CE, worked
   through in row chunks so no [N, V] logit matrix enters the graph.  The
@@ -22,6 +22,8 @@ Two fused ops carry the hot paths of a train step:
 * ``causal_gqa_attention`` -- grouped-query causal attention with the mask
   and scale built in and no K/V copies.  Its backward reuses the saved
   probabilities and forms dS once per ``backward()`` call.
+* ``rope`` -- the rotary position embedding of q and k as one node; its
+  backward is the inverse rotation.
 """
 
 from __future__ import annotations
@@ -168,11 +170,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _make(a.data + b.data, [(a, lambda g: g), (b, lambda g: g)])
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _check_same_shape(a, b, "sub")
-    return _make(a.data - b.data, [(a, lambda g: g), (b, lambda g: -g)])
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _check_same_shape(a, b, "mul")
     return _make(a.data * b.data, [(a, lambda g: g * b.data), (b, lambda g: g * a.data)])
@@ -232,36 +229,6 @@ def transpose(a: Tensor, axes) -> Tensor:
     axes = tuple(axes)
     inv = tuple(int(i) for i in np.argsort(axes))
     return _make(np.ascontiguousarray(a.data.transpose(axes)), [(a, lambda g: g.transpose(inv))])
-
-
-def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
-    data = np.concatenate([p.data for p in parts], axis=axis)
-    sizes = [p.shape[axis] for p in parts]
-    offs = np.cumsum([0] + sizes)
-
-    def rule_for(i: int, p: Tensor):
-        sl = [slice(None)] * data.ndim
-        sl[axis] = slice(int(offs[i]), int(offs[i + 1]))
-        sl = tuple(sl)
-        return (p, lambda g: np.ascontiguousarray(g[sl]))
-
-    return _make(data, [rule_for(i, p) for i, p in enumerate(parts)])
-
-
-def index(a: Tensor, key) -> Tensor:
-    """Slicing/row selection; backward scatters into a zero buffer."""
-    data = np.ascontiguousarray(a.data[key])
-    fancy = any(isinstance(k, np.ndarray) for k in (key if isinstance(key, tuple) else (key,)))
-
-    def bw(g):
-        buf = np.zeros_like(a.data)
-        if fancy:
-            np.add.at(buf, key, g)  # duplicate indices must accumulate
-        else:
-            buf[key] += g
-        return buf
-
-    return _make(data, [(a, bw)])
 
 
 # ---------------------------------------------------------------------
@@ -327,15 +294,6 @@ def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return _make(data, [(a, bw)])
 
 
-def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    if axis is None:
-        n = a.data.size
-    else:
-        axes = (axis,) if isinstance(axis, int) else tuple(axis)
-        n = int(np.prod([a.shape[ax] for ax in axes]))
-    return mul_const(tsum(a, axis=axis, keepdims=keepdims), 1.0 / n)
-
-
 # ---------------------------------------------------------------------
 # linear algebra
 # ---------------------------------------------------------------------
@@ -399,6 +357,36 @@ def rmsnorm(x: Tensor, scale: Tensor, eps: float = 1e-6) -> Tensor:
 # ---------------------------------------------------------------------
 # fused ops
 # ---------------------------------------------------------------------
+
+def rope(x: Tensor, cos: np.ndarray, sin: np.ndarray) -> Tensor:
+    """Rotary position embedding over the last axis of ``x``.
+
+    Pair j is (x[..., j], x[..., j + hd/2]) and turns by the angle whose
+    cosine and sine are ``cos[..., j]`` and ``sin[..., j]``: it becomes
+    (x1 cos - x2 sin, x1 sin + x2 cos).  The tables broadcast against
+    x[..., :hd/2], e.g. [S, hd/2] tables for a [B, H, S, hd] x.  The
+    backward applies the inverse rotation, the same formula at -sin.
+    """
+    half = x.shape[-1] // 2
+    pairs = x.shape[:-1] + (half,)
+    cos = np.asarray(cos, dtype=x.data.dtype)
+    sin = np.asarray(sin, dtype=x.data.dtype)
+    try:
+        fits = x.shape[-1] % 2 == 0 and np.broadcast_shapes(cos.shape, sin.shape, pairs) == pairs
+    except ValueError:
+        fits = False
+    if not fits:
+        raise DimensionError(f"rope: tables {cos.shape}, {sin.shape} do not fit x {x.shape}")
+
+    def rotate(a: np.ndarray, s: np.ndarray) -> np.ndarray:
+        a1, a2 = a[..., :half], a[..., half:]
+        out = np.empty_like(a)
+        np.subtract(a1 * cos, a2 * s, out=out[..., :half])
+        np.add(a1 * s, a2 * cos, out=out[..., half:])
+        return out
+
+    return _make(rotate(x.data, sin), [(x, lambda g: rotate(g, -sin))])
+
 
 _CE_CHUNK_LOGITS = 1 << 20   # logits per softcapped_cross_entropy chunk
 

@@ -139,19 +139,13 @@ class Trainer:
 
         tt = batch.text_targets.reshape(-1)
         text_rows = np.flatnonzero(tt >= 0)
-        if len(text_rows):
-            ce, n_text = losses.lm_loss(self.params, T.index(flat, (text_rows,)), tt[text_rows])
-        else:
-            ce, n_text = Tensor(np.zeros((), dtype=flat.dtype)), 0
+        ce, _ = losses.lm_loss(self.params, T.gather_rows(flat, text_rows), tt[text_rows])
 
         tm = batch.ts_mask.reshape(B * S, -1)
         ts_rows = np.flatnonzero(tm.any(axis=1))
-        if len(ts_rows):
-            q_hat = losses.quantile_head(self.params, self.config, T.index(flat, (ts_rows,)))
-            ql, _ = losses.masked_quantile_loss(
-                q_hat, batch.ts_targets.reshape(B * S, -1)[ts_rows], tm[ts_rows], self.levels)
-        else:
-            ql = Tensor(np.zeros((), dtype=flat.dtype))
+        q_hat = losses.quantile_head(self.params, self.config, T.gather_rows(flat, ts_rows))
+        ql, _ = losses.masked_quantile_loss(
+            q_hat, batch.ts_targets.reshape(B * S, -1)[ts_rows], tm[ts_rows], self.levels)
 
         loss = losses.combined_loss(ce, ql, w_text, w_ts)
         if loss.requires_grad or loss._rules:
@@ -231,12 +225,17 @@ class Trainer:
             trainer.step = int(extra["step"])
             trainer.tokens_seen = int(extra["tokens_seen"])
             trainer.rng.bit_generator.state = extra["rng_state"]
+            text_pos = extra["text_pos"]
         except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"{path}: training state missing or malformed ({exc})") from exc
         trainer.optimizer.load_state_tensors(
             {k: v for k, v in tensors.items() if k.startswith("opt.")}, opt_t)
         if sources and sources.text_stream is not None:
-            sources.text_stream.pos = extra.get("text_pos", 0)
+            n_ids = len(sources.text_stream.ids)
+            if type(text_pos) is not int or not 0 <= text_pos < n_ids:
+                raise DataError(f"{path}: text_pos {text_pos!r} is not a position in the "
+                                f"{n_ids}-token text stream")
+            sources.text_stream.pos = text_pos
         return trainer
 
 

@@ -70,8 +70,8 @@ def test_criterion_1_gradient_fidelity():
         def objective():
             hidden = M.forward_hidden(params, cfg, inputs)
             flat = T.reshape(hidden, (16, cfg.d_model))
-            ce, _ = losses.lm_loss(params, T.index(flat, (text_pos,)), text_targets)
-            q_hat = losses.quantile_head(params, cfg, T.index(flat, (ts_pos,)))
+            ce, _ = losses.lm_loss(params, T.gather_rows(flat, text_pos), text_targets)
+            q_hat = losses.quantile_head(params, cfg, T.gather_rows(flat, ts_pos))
             ql, _ = losses.masked_quantile_loss(q_hat, ts_targets, ts_mask, levels)
             return losses.combined_loss(ce, ql, 1.0, 2.5)
 
@@ -197,7 +197,7 @@ def test_criterion_5_kv_cache_equivalence():
             with T.no_grad():
                 for step in range(horizon // P):
                     hidden = M.forward_hidden(params, cfg, patch_inputs(feats))
-                    last = T.index(hidden, (0, slice(feats.shape[0] - 1, feats.shape[0])))
+                    last = Tensor(hidden.data[0, -1:])
                     q_sorted = np.sort(losses.quantile_head(params, cfg, last).data[0], axis=-1)
                     collected.append(q_sorted)
                     median = q_sorted[:, cfg.n_quantiles // 2]

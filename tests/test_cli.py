@@ -181,6 +181,23 @@ def test_train_resume_matches_config(workdir):
     assert os.path.exists("run_out/stage2.ckpt")
 
 
+@pytest.mark.parametrize("text_pos", ["abc", 10 ** 9, -5])
+def test_train_resume_bad_text_pos_exit_3(workdir, capsys, text_pos):
+    _write_training_fixture(workdir)
+    assert run("--seed", "1", "train", "--config", "run.toml", "--stage", "1") == 0
+    raw = (workdir / "run_out" / "stage1.ckpt").read_bytes()
+    (n,) = struct.unpack("<Q", raw[:8])
+    manifest = json.loads(raw[8:8 + n])
+    manifest["extra"]["text_pos"] = text_pos
+    blob = json.dumps(manifest).encode()
+    (workdir / "bad.ckpt").write_bytes(struct.pack("<Q", len(blob)) + blob + raw[8 + n:])
+    capsys.readouterr()
+    assert run("--seed", "1", "train", "--config", "run.toml", "--stage", "2",
+               "--resume", "bad.ckpt") == 3
+    err = capsys.readouterr().err
+    assert "text_pos" in err and "Traceback" not in err
+
+
 def test_eval_cls(workdir):
     with open("pred.jsonl", "w") as fh:
         fh.write(json.dumps({"id": "a", "scores": [0.9, 0.1]}) + "\n")

@@ -1,9 +1,9 @@
 """Fused ops against the unfused compositions they replace.
 
-The oracles below are the generic-op chains the model used before the
-fusion: tied matmul -> soft cap -> log-softmax -> gather for the
-vocab head, and repeated K/V -> scaled scores -> causal mask -> softmax ->
-weighted values for attention.
+The oracles below are generic-op chains: tied matmul -> soft cap ->
+log-softmax -> gather for the vocab head, repeated K/V -> scaled scores ->
+causal mask -> softmax -> weighted values for attention, and one
+[hd, hd] matrix of 2x2 rotation blocks per position for RoPE.
 """
 
 import math
@@ -33,13 +33,27 @@ def attention_oracle(q, k, v, offset):
     _, n_q, S, hd = q.shape
     n_kv, total = k.shape[1], k.shape[2]
     heads = np.repeat(np.arange(n_kv), n_q // n_kv)       # K/V copied per query head
-    k_exp = T.index(k, (slice(None), heads))
-    v_exp = T.index(v, (slice(None), heads))
+    k_exp, v_exp = (T.transpose(T.gather_rows(T.transpose(t, (1, 0, 2, 3)), heads),
+                                (1, 0, 2, 3)) for t in (k, v))
     scores = T.mul_const(T.matmul(q, T.transpose(k_exp, (0, 1, 3, 2))), 1.0 / math.sqrt(hd))
     hidden = np.arange(total)[None, :] > (offset + np.arange(S))[:, None]
     masked = T.add_const(scores, np.where(hidden, -np.inf, 0.0))
     att = T.texp(T.log_softmax(masked))
     return T.matmul(att, v_exp)
+
+
+def rope_oracle(x, cos, sin):
+    """x[..., s, :] @ R_s, with R_s rotating each (j, j + hd/2) pair."""
+    B, H, S, hd = x.shape
+    half = hd // 2
+    j = np.arange(half)
+    rot = np.zeros((S, hd, hd))
+    rot[:, j, j] = rot[:, j + half, j + half] = cos
+    rot[:, j, j + half] = sin
+    rot[:, j + half, j] = -sin
+    rows = T.reshape(T.transpose(x, (2, 0, 1, 3)), (S, B * H, hd))
+    turned = T.reshape(T.matmul(rows, Tensor(rot)), (S, B, H, hd))
+    return T.transpose(turned, (1, 2, 0, 3))
 
 
 def leaf_grads(loss, leaves):
@@ -237,4 +251,55 @@ def test_attention_rejects_bad_shapes():
     with pytest.raises(DimensionError):
         T.causal_gqa_attention(q, k, v, 1)          # offset + S must equal key count
     with pytest.raises(DimensionError):
-        T.causal_gqa_attention(q, k, T.index(v, (slice(None), slice(0, 1))), 0)
+        T.causal_gqa_attention(q, k, Tensor(v.data[:, :1]), 0)
+
+
+# ---------------------------------------------------------------------
+# rope
+# ---------------------------------------------------------------------
+
+# (heads, S, hd, offset): GQA q heads and kv heads of one layer, and the
+# S=1 decode step at an offset position with hd=2
+ROPE_CASES = [(4, 5, 8, 0), (2, 5, 8, 0), (1, 1, 2, 7), (3, 6, 16, 3)]
+
+
+def rope_case(seed, heads, S, hd, offset):
+    rng = np.random.default_rng(seed)
+    x = t64(rng.normal(size=(2, heads, S, hd)))
+    cos, sin = M.rope_tables(np.arange(offset, offset + S), hd, 50.0, np.float64)
+    probe = Tensor(rng.normal(size=x.shape))
+    return x, cos, sin, probe
+
+
+@pytest.mark.parametrize("heads,S,hd,offset", ROPE_CASES)
+def test_rope_matches_rotation_matrix_oracle(heads, S, hd, offset):
+    x, cos, sin, probe = rope_case(20, heads, S, hd, offset)
+    fused = T.rope(x, cos, sin)
+    oracle = rope_oracle(x, cos, sin)
+    assert np.abs(fused.data - oracle.data).max() <= 1e-12
+    got = leaf_grads(T.tsum(T.mul(fused, probe)), [x])[0]
+    want = leaf_grads(T.tsum(T.mul(oracle, probe)), [x])[0]
+    assert np.abs(got - want).max() <= 1e-12
+
+
+@pytest.mark.parametrize("heads,S,hd,offset", ROPE_CASES)
+def test_rope_grad_check(heads, S, hd, offset):
+    x, cos, sin, probe = rope_case(21, heads, S, hd, offset)
+    assert_fd(lambda: T.tsum(T.mul(T.mul(T.rope(x, cos, sin), T.rope(x, cos, sin)), probe)),
+              [("x", x)])
+
+
+def test_rope_apply_is_one_node():
+    x, _, _, _ = rope_case(22, 2, 3, 4, 0)
+    out = M.rope_apply(x, np.arange(3), 5e5)
+    assert len(out._rules) == 1 and out._rules[0][0] is x
+
+
+def test_rope_rejects_bad_tables():
+    x, cos, sin, _ = rope_case(23, 2, 3, 4, 0)
+    with pytest.raises(DimensionError):
+        T.rope(x, cos[:2], sin[:2])                  # one angle row per position
+    with pytest.raises(DimensionError):
+        T.rope(x, cos, np.zeros((3, 3)))             # hd/2 + 1 angles per position
+    with pytest.raises(DimensionError):
+        T.rope(Tensor(np.ones((1, 1, 3, 3))), cos[:, :1], sin[:, :1])   # odd head dim

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from patchlm import losses as L
 from patchlm import model as M
 from patchlm import tensor as T
-from patchlm.errors import ConfigError
+from patchlm.errors import ConfigError, DimensionError
 from patchlm.tensor import Tensor
 
 
@@ -169,6 +169,16 @@ def test_mql_empty_mask():
         Tensor(np.zeros((1, 2, 3), dtype=np.float32)), np.zeros((1, 2)), np.zeros((1, 2)),
         L.quantile_levels(3))
     assert loss.dtype == np.float32
+
+
+def test_mql_no_rows_is_zero_weight_at_any_patch_width():
+    levels = L.quantile_levels(3)
+    q_hat = Tensor(np.zeros((0, 2, 3), dtype=np.float32))
+    # a text batch's TS targets and mask are one value wide
+    loss, w = L.masked_quantile_loss(q_hat, np.zeros((0, 1)), np.zeros((0, 1)), levels)
+    assert loss.item() == 0.0 and w == 0.0 and loss.dtype == np.float32
+    with pytest.raises(DimensionError):
+        L.masked_quantile_loss(q_hat, np.zeros((1, 1)), np.zeros((1, 1)), levels)
 
 
 def test_mql_duplication_invariance():

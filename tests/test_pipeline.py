@@ -82,6 +82,26 @@ def test_build_ts_batch_partial_patch_excluded():
     assert not batch.ts_mask[0, 1].any()
 
 
+def test_build_ts_batch_cut_channel_keeps_last_target():
+    P = 4
+    ramp = np.arange(3 * P, dtype=float)
+    series = codec.RawSeries(np.stack([ramp, (ramp - 5.0) ** 2]))  # 3 patches per channel
+    pb = codec.patchify(series, P)
+    ch0, ch1 = (pb.features[sl] for sl in pb.channel_slices)
+    batch = data.build_ts_batch(lambda: series, seq_len=5, micro_batch=1, patch_len=P)
+    # channel 0 whole, channel 1 cut after its second patch
+    assert np.array_equal(batch.inputs.patches, np.concatenate([ch0, ch1[:2]]))
+    expect_targets = np.zeros((1, 5, P), dtype=np.float32)
+    expect_targets[0, 0] = ch0[1, P:2 * P]
+    expect_targets[0, 1] = ch0[2, P:2 * P]
+    expect_targets[0, 3] = ch1[1, P:2 * P]
+    expect_targets[0, 4] = ch1[2, P:2 * P]  # the patch after the cut
+    expect_mask = np.ones((1, 5, P), dtype=np.float32)
+    expect_mask[0, 2] = 0.0  # the last patch of channel 0 has no successor
+    assert np.array_equal(batch.ts_targets, expect_targets)
+    assert np.array_equal(batch.ts_mask, expect_mask)
+
+
 def test_build_ts_batch_packs_multiple_series():
     cfg = tiny_config()
     P = cfg.patch_len
