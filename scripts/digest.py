@@ -9,7 +9,10 @@ The map covers:
   each at seq_len 16 and 33: text only, TS only, interleaved (text 0.5,
   align 0.3) and all-aligned;
 - forecasts with and without a text prefix, and embeddings of series, text
-  and both at repeat 1-3.
+  and both at repeat 1-3;
+- ``codec.patchify`` features, as [C*n, 4P] rows: one channel that fits
+  whole patches, a padded last patch, interior NaNs, three gappy channels,
+  P = 1, P > L, and explicit stats on a front-NaN-padded context.
 
 Two trees that print the same map compute the same bits for all of these.
 It runs in a few seconds.
@@ -80,6 +83,28 @@ def batch_digests(vocab: bpe.BpeVocab, out: dict) -> None:
         record(f"interleaved.S{S}", data.build_interleaved_batch(samples, vocab, S, P))
 
 
+def patch_digests(out: dict) -> None:
+    rng = np.random.default_rng(5)
+    gappy = rng.normal(size=20).cumsum()
+    gappy[[3, 4, 11]] = np.nan
+    context = rng.normal(size=13).cumsum()
+    context_stats = codec.compute_visible_stats(codec.RawSeries(context))
+    cases = {
+        "exact": (codec.RawSeries(rng.normal(size=16)), 4, None),
+        "tail": (codec.RawSeries(rng.normal(size=13)), 4, None),
+        "nan": (codec.RawSeries(gappy), 4, None),
+        "gappy3": (gappy_series(rng, 3, 23), 4, None),
+        "p1": (codec.RawSeries(rng.normal(size=7)), 1, None),
+        "p_over_l": (codec.RawSeries(rng.normal(size=3)), 8, None),
+        # forecasting front-pads the context with NaN and keeps its own stats
+        "stats": (codec.RawSeries(np.concatenate([np.full(3, np.nan), context])), 4,
+                  context_stats),
+    }
+    for name, (series, patch_len, stats) in cases.items():
+        feats = codec.patchify(series, patch_len, stats=stats)
+        out[f"patch.{name}"] = digest(feats.reshape(-1, 4 * patch_len))
+
+
 RUNS = {
     "text": dict(text_prob=1.0),
     "ts": dict(text_prob=0.0),
@@ -132,6 +157,7 @@ def inference_digests(params: dict, out: dict) -> None:
 def main() -> None:
     vocab = bpe.bpe_train([CORPUS], 280)  # 280 tokens plus the specials
     out: dict = {}
+    patch_digests(out)
     batch_digests(vocab, out)
     trained = training_digests(vocab, out)
     inference_digests(trained["interleaved", 16], out)

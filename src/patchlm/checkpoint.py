@@ -72,9 +72,6 @@ def _config_from(fields: dict, path: str) -> ModelConfig:
     missing = names - set(fields)
     if missing:
         raise DataError(f"{path}: config lacks keys {sorted(missing)}")
-    # every ModelConfig field is a positive integer
-    if not all(_is_count(v) and v > 0 for v in fields.values()):
-        raise DataError(f"{path}: config values must be positive integers")
     try:
         return ModelConfig(**fields)
     except ValueError as exc:

@@ -54,6 +54,23 @@ def _floats(ndim: int):
     return convert
 
 
+# class ids index the columns of a head's [D, K] weight, K = max id + 1
+MAX_CLASSES = 1 << 16
+
+
+def _label(value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or not 0 <= value < MAX_CLASSES:
+        raise ValueError(f"a label must be a class id in [0, {MAX_CLASSES})")
+    return value
+
+
+def _rows(rows: list, path: str, key: str) -> np.ndarray:
+    """Stack 1-D number rows; rows of more than one width are a DataError."""
+    if len({len(r) for r in rows}) > 1:
+        raise DataError(f"{path}: {key!r} rows differ in width")
+    return np.stack(rows)
+
+
 def _echo(args, payload: dict) -> None:
     if args.json:
         print(json.dumps(payload))
@@ -217,12 +234,12 @@ def _join_by_id(embeddings_path: str, labels_path: str):
     embs = {_field(r, "id", embeddings_path, str): _field(r, "embedding", embeddings_path,
                                                            _floats(1))
             for r in codec.read_jsonl(embeddings_path)}
-    labels = {_field(r, "id", labels_path, str): _field(r, "label", labels_path, int)
+    labels = {_field(r, "id", labels_path, str): _field(r, "label", labels_path, _label)
               for r in codec.read_jsonl(labels_path)}
     ids = sorted(set(embs) & set(labels))
     if not ids:
         raise DataError("no overlapping ids between embeddings and labels")
-    x = np.stack([embs[i] for i in ids])
+    x = _rows([embs[i] for i in ids], embeddings_path, "embedding")
     y = np.asarray([labels[i] for i in ids])
     return x, y
 
@@ -235,6 +252,9 @@ def cmd_probe(args) -> tuple[list[str], dict]:
                  class_balanced=args.class_balanced)
     if args.test_embeddings and args.test_labels:
         x_eval, y_eval = _join_by_id(args.test_embeddings, args.test_labels)
+        if x_eval.shape[1] != x.shape[1]:
+            raise DataError(f"{args.test_embeddings}: embeddings of width {x_eval.shape[1]}, "
+                            f"the training embeddings have width {x.shape[1]}")
     else:
         x_eval, y_eval = x, y
     preds = head.predict(x_eval)
@@ -287,19 +307,21 @@ def cmd_eval_forecast(args) -> tuple[list[str], dict]:
 
 def cmd_eval_cls(args) -> tuple[list[str], dict]:
     preds = {_field(r, "id", args.pred, str): r for r in codec.read_jsonl(args.pred)}
+    if len({"scores" in r for r in preds.values()}) > 1:
+        raise DataError(f"{args.pred}: 'scores' on some records but not on others")
     y_true, y_pred, scores = [], [], []
     for record in codec.read_jsonl(args.truth):
         rid = _field(record, "id", args.truth, str)
         if rid not in preds:
             raise DataError(f"missing prediction for id {rid}")
         pred = preds[rid]
-        y_true.append(_field(record, "label", args.truth, int))
+        y_true.append(_field(record, "label", args.truth, _label))
         if "scores" in pred:
             s = _field(pred, "scores", args.pred, _floats(1))
             scores.append(s)
             y_pred.append(int(np.argmax(s)))
         else:
-            y_pred.append(_field(pred, "label", args.pred, int))
+            y_pred.append(_field(pred, "label", args.pred, _label))
     y_true = np.asarray(y_true)
     y_pred = np.asarray(y_pred)
     payload = {
@@ -307,7 +329,7 @@ def cmd_eval_cls(args) -> tuple[list[str], dict]:
         "macro_f1": metrics.macro_f1(y_pred, y_true),
     }
     if scores:
-        mat = np.stack(scores)
+        mat = _rows(scores, args.pred, "scores")
         payload["auc"] = metrics.auc(mat[:, 1] if mat.shape[1] == 2 else mat, y_true)
     else:
         payload["auc"] = None

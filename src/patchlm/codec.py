@@ -3,13 +3,17 @@
 A raw (possibly multivariate, possibly gappy) series becomes model input
 in four steps: visible-value standardization + arcsinh compression,
 segmentation into non-overlapping length-P patches, per-patch feature
-assembly [time ramp; values; validity mask; channel ramp], and -- on the
+assembly [time ramp; values; observed mask; channel ramp], and -- on the
 way back out -- the exact sinh inverse of the normalization.
 
 Statistics are computed per channel over finite values only, using the
-population standard deviation clamped to ``SIGMA_FLOOR``.  Channels are
-laid out one after another along the patch axis, with the time ramp
-resetting at each channel boundary.
+population standard deviation clamped to ``SIGMA_FLOOR``.
+
+``patchify`` returns one [C, n, 4P] float32 array for a [C, L] series,
+with n = ceil(L / P): row ``[c, j]`` is patch j of channel c, and every
+channel's time ramp runs over the same positions 0..L-1.  Tail positions
+past L zero every block; an interior NaN zeroes its value and mask but
+keeps its ramp and channel entries.
 """
 
 from __future__ import annotations
@@ -67,19 +71,6 @@ class NormStats:
             raise DataError(f"sigma below floor {SIGMA_FLOOR}")
 
 
-@dataclass
-class PatchBatch:
-    """Patched features ready for the patch projection.
-
-    features rows are ordered channel 0 patches, then channel 1, ...;
-    each row is the 4P vector [ramp; values; mask; channel].
-    """
-
-    features: np.ndarray          # [T_total, 4P] float32
-    validity: np.ndarray          # [T_total, P] bool
-    channel_slices: list[slice]
-
-
 def compute_visible_stats(series: RawSeries) -> NormStats:
     """Mean / population std over finite values, per channel."""
     mu = np.empty(series.n_channels)
@@ -129,58 +120,35 @@ def build_channel_ramp(n_channels: int) -> np.ndarray:
     return np.arange(n_channels, dtype=np.float64) / max(n_channels - 1, 1)
 
 
-def _pad_to_patches(x: np.ndarray, patch_len: int, fill: float = 0.0) -> np.ndarray:
-    n_patches = math.ceil(x.size / patch_len)
-    padded = np.full(n_patches * patch_len, fill, dtype=np.float64)
-    padded[: x.size] = x
-    return padded.reshape(n_patches, patch_len)
-
-
-def assemble_features(ramp: np.ndarray, values: np.ndarray, validity: np.ndarray,
+def assemble_features(ramp: np.ndarray, values: np.ndarray, mask: np.ndarray,
                       channel: np.ndarray) -> np.ndarray:
     """Concatenate the four P-blocks in the fixed order [r; v; m; c]."""
-    blocks = (ramp, values, validity, channel)
+    blocks = (ramp, values, mask, channel)
     if len({b.shape for b in blocks}) != 1:
-        raise DataError("feature blocks must share one [T, P] shape")
+        raise DataError("feature blocks must share one [..., P] shape")
     return np.concatenate(blocks, axis=-1).astype(np.float32)
 
 
-def patchify(series: RawSeries, patch_len: int, stats: NormStats | None = None) -> PatchBatch:
-    """Normalize, patch, and assemble features for every channel."""
+def patchify(series: RawSeries, patch_len: int, stats: NormStats | None = None) -> np.ndarray:
+    """Normalize, patch, and assemble the [C, n, 4P] features of every channel."""
     if patch_len < 1:
         raise DataError("patch_len must be >= 1")
     if stats is None:
         stats = compute_visible_stats(series)
-    normed = normalize(series.values, stats)
-    channel_vals = build_channel_ramp(series.n_channels)
+    n_channels, length = series.values.shape
+    n_patches = math.ceil(length / patch_len)
 
-    feats = []
-    valids = []
-    slices = []
-    row = 0
-    length = series.length
-    for c in range(series.n_channels):
-        finite = np.isfinite(series.values[c])
-        v = np.where(finite, normed[c], 0.0)
-        m = finite.astype(np.float64)
-        r = extend_time_ramp(length, 0, length)
-        v_p = _pad_to_patches(v, patch_len)
-        m_p = _pad_to_patches(m, patch_len)
-        r_p = _pad_to_patches(r, patch_len)
-        # pads (beyond L) zero every block; interior NaNs keep ramp/channel
-        in_len = _pad_to_patches(np.ones(length), patch_len)
-        c_p = channel_vals[c] * in_len
-        feats.append(assemble_features(r_p, v_p, m_p, c_p))
-        valids.append(m_p.astype(bool))
-        t = v_p.shape[0]
-        slices.append(slice(row, row + t))
-        row += t
+    def patched(block: np.ndarray) -> np.ndarray:
+        """Broadcast to [C, L], zero past L, and cut into [C, n, P]."""
+        out = np.zeros((n_channels, n_patches * patch_len))
+        out[:, :length] = block
+        return out.reshape(n_channels, n_patches, patch_len)
 
-    return PatchBatch(
-        features=np.concatenate(feats, axis=0),
-        validity=np.concatenate(valids, axis=0),
-        channel_slices=slices,
-    )
+    finite = np.isfinite(series.values)
+    return assemble_features(patched(extend_time_ramp(length, 0, length)),
+                             patched(np.where(finite, normalize(series.values, stats), 0.0)),
+                             patched(finite),
+                             patched(build_channel_ramp(n_channels)[:, None]))
 
 
 # ---------------------------------------------------------------------

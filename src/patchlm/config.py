@@ -3,7 +3,10 @@
 The config file uses plain ``[section]`` headers with ``key = value``
 lines (ints, floats, booleans, quoted strings, and flat lists); that
 subset is all the train pipeline needs.  Sections: [model], [stage1],
-optional [stage2], [data]; a repeated section or key is a ConfigError.
+optional [stage2], [data]; a repeated section or key is a ConfigError,
+and so is a value whose type does not fit its field's annotation (an int
+field takes an int but not a bool, a float field an int or a float) or
+that the config's own checks reject, with the section and key named.
 
 A run is identified by ``run_identity``: a hash of the command, the
 seed, the code version and its settings, in which every ``InputPath``
@@ -17,6 +20,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import typing
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
@@ -89,6 +93,13 @@ class DataConfig:
     align_length: int = 128
     synthetic_batch_prob: float = 0.20
 
+    def __post_init__(self):
+        for name in ("synth_length", "align_length"):
+            if getattr(self, name) < 2:
+                raise ConfigError(f"{name} must be >= 2")
+        if not 0.0 <= self.synthetic_batch_prob <= 1.0:
+            raise ConfigError("synthetic_batch_prob must be in [0, 1]")
+
 
 @dataclass
 class RunConfig:
@@ -98,12 +109,30 @@ class RunConfig:
     data: DataConfig
 
 
+# what a parsed value must be to fill a field of each annotated type;
+# a bool is never a number
+_FIELD_TYPES = {
+    int: ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    float: ("a number", lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)),
+    str: ("a string", lambda v: isinstance(v, str)),
+    list[str]: ("a list of strings",
+                lambda v: isinstance(v, list) and all(isinstance(p, str) for p in v)),
+}
+
+
 def _build(cls, section: dict, where: str):
-    valid = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(section) - valid
+    hints = typing.get_type_hints(cls)
+    unknown = set(section) - {f.name for f in dataclasses.fields(cls)}
     if unknown:
         raise ConfigError(f"[{where}] has unknown keys: {sorted(unknown)}")
-    return cls(**section)
+    for key, value in section.items():
+        name, fits = _FIELD_TYPES[hints[key]]
+        if not fits(value):
+            raise ConfigError(f"[{where}] {key} must be {name}, got {value!r}")
+    try:
+        return cls(**section)
+    except ConfigError as exc:
+        raise ConfigError(f"[{where}] {exc}") from exc
 
 
 def load_run_config(path: str) -> RunConfig:
@@ -115,22 +144,25 @@ def load_run_config(path: str) -> RunConfig:
     if "model" not in sections or "stage1" not in sections:
         raise ConfigError("config needs [model] and [stage1] sections")
     data_section = dict(sections.get("data", {}))
-    text = data_section.get("text", [])
-    text = [text] if isinstance(text, str) else text
-    if not (isinstance(text, list) and all(isinstance(p, str) for p in text)):
-        raise ConfigError("[data] text must be a path or a list of paths")
+    if isinstance(data_section.get("text"), str):  # one path
+        data_section["text"] = [data_section["text"]]
+    data = _build(DataConfig, data_section, "data")
     # the files the run reads, so that the run hash covers their content
-    data_section["text"] = [InputPath(p) for p in text]
-    for key in ("series", "vocab"):
-        if data_section.get(key):
-            data_section[key] = InputPath(data_section[key])
-    return RunConfig(
+    data.text = [InputPath(p) for p in data.text]
+    data.series, data.vocab = (InputPath(p) if p else p for p in (data.series, data.vocab))
+    run = RunConfig(
         model=_build(ModelConfig, sections["model"], "model"),
         stage1=_build(StageConfig, sections["stage1"], "stage1"),
         stage2=(_build(StageConfig, sections["stage2"], "stage2")
                 if "stage2" in sections else None),
-        data=_build(DataConfig, data_section, "data"),
+        data=data,
     )
+    # checked before a batch of seq_len positions is built
+    for name, stage in (("stage1", run.stage1), ("stage2", run.stage2)):
+        if stage and stage.seq_len > run.model.max_seq:
+            raise ConfigError(f"[{name}] seq_len {stage.seq_len} exceeds [model] max_seq "
+                              f"{run.model.max_seq}")
+    return run
 
 
 # ---------------------------------------------------------------------

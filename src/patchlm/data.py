@@ -84,22 +84,14 @@ def build_text_batch(stream: TokenStream, seq_len: int, micro_batch: int) -> Tra
 
 
 def _series_patch_rows(series: codec.RawSeries, patch_len: int):
-    """Per-channel (features, next-patch targets, target masks) for one series."""
-    pb = codec.patchify(series, patch_len)
+    """[C, n, 4P] features, [C, n, P] next-patch targets and target masks of one series."""
+    feats = codec.patchify(series, patch_len)
     P = patch_len
-    per_channel = []
-    for sl in pb.channel_slices:
-        feats = pb.features[sl]
-        vals = feats[:, P:2 * P].astype(np.float32)
-        valid = pb.validity[sl].astype(np.float32)
-        t = len(feats)
-        targets = np.zeros((t, P), dtype=np.float32)
-        mask = np.zeros((t, P), dtype=np.float32)
-        if t > 1:
-            targets[:-1] = vals[1:]
-            mask[:-1] = valid[1:]
-        per_channel.append((feats, targets, mask))
-    return per_channel
+    targets = np.zeros(feats.shape[:2] + (P,), dtype=np.float32)
+    mask = np.zeros_like(targets)
+    targets[:, :-1] = feats[:, 1:, P:2 * P]
+    mask[:, :-1] = feats[:, 1:, 2 * P:3 * P]
+    return feats, targets, mask
 
 
 def build_ts_batch(source: Callable[[], codec.RawSeries], seq_len: int,
@@ -116,7 +108,7 @@ def build_ts_batch(source: Callable[[], codec.RawSeries], seq_len: int,
     for b in range(micro_batch):
         pos = 0
         while pos < seq_len:
-            for feats, tgt, msk in _series_patch_rows(source(), P):
+            for feats, tgt, msk in zip(*_series_patch_rows(source(), P)):
                 take = min(len(feats), seq_len - pos)
                 if take <= 0:
                     break
@@ -152,14 +144,14 @@ def build_interleaved_batch(samples: Sequence[Sequence[Segment]], vocab: bpe.Bpe
 
     for b, segments in enumerate(samples):
         seq: list[int] = []
-        channels = []  # (features, targets, masks) per series channel, in order
+        series_rows = []  # (features, targets, masks) per series, channel rows in order
         for kind, payload in segments:
             if kind == "text":
                 seq.extend(bpe.encode(payload, vocab))
             elif kind == "series":
-                rows = _series_patch_rows(payload, P)
-                seq += [ts_begin] + [PATCH] * sum(len(f) for f, _, _ in rows) + [ts_end]
-                channels.extend(rows)
+                rows = [a.reshape(-1, a.shape[-1]) for a in _series_patch_rows(payload, P)]
+                seq += [ts_begin] + [PATCH] * len(rows[0]) + [ts_end]
+                series_rows.append(rows)
             else:
                 raise DataError(f"unknown segment kind {kind!r}")
         seq.append(eos)
@@ -172,7 +164,7 @@ def build_interleaved_batch(samples: Sequence[Sequence[Segment]], vocab: bpe.Bpe
         ts_pos = np.flatnonzero(real == PATCH)
         if len(ts_pos):
             feats, tgt, msk = (np.concatenate(part, axis=0)[:len(ts_pos)]
-                               for part in zip(*channels))
+                               for part in zip(*series_rows))
             patches.append(feats)
             ts_targets[b, ts_pos] = tgt
             ts_mask[b, ts_pos] = msk

@@ -49,7 +49,7 @@ def context_patch_features(values: np.ndarray, patch_len: int,
                            stats: codec.NormStats) -> np.ndarray:
     padded = _pad_to_patch_boundary(np.asarray(values, dtype=np.float64), patch_len)
     series = codec.RawSeries(padded)
-    return codec.patchify(series, patch_len, stats=stats).features
+    return codec.patchify(series, patch_len, stats=stats)[0]
 
 
 def _generated_patch_features(median_patch: np.ndarray, padded_len: int, start: int,
@@ -143,7 +143,8 @@ def extract_embedding(params: dict[str, Tensor], config: M.ModelConfig,
                       series: Optional[codec.RawSeries] = None,
                       text_ids: Sequence[int] = (), repeat: int = 1) -> np.ndarray:
     """Mean-pooled final-norm hidden state over all positions."""
-    feats = codec.patchify(series, config.patch_len).features if series is not None else None
+    feats = (None if series is None
+             else codec.patchify(series, config.patch_len).reshape(-1, 4 * config.patch_len))
     inputs = build_repeat_layout(feats, text_ids, repeat)
     length = inputs.ids.shape[1]
     if length > config.max_seq:

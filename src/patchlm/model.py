@@ -15,7 +15,7 @@ identity on the residual stream at initialization.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -42,6 +42,10 @@ class ModelConfig:
     max_seq: int = 256
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise ConfigError(f"{f.name} must be a positive integer, got {value!r}")
         if self.n_q_heads % self.n_kv_heads != 0:
             raise ConfigError("n_q_heads must be divisible by n_kv_heads")
         if self.head_dim * self.n_q_heads != self.d_model:

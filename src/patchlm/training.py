@@ -16,6 +16,7 @@ synchronously inside the loop.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -44,10 +45,18 @@ class StageConfig:
     log_every: int = 50
 
     def __post_init__(self):
+        for name in ("seq_len", "micro_batch", "log_every"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1")
+        if self.total_steps < 0:
+            raise ConfigError("total_steps must be >= 0")
         if not 0.0 <= self.text_prob <= 1.0:
             raise ConfigError("text_prob must be in [0, 1]")
         if not 0.0 <= self.align_fraction <= 1.0:
             raise ConfigError("align_fraction must be in [0, 1]")
+        for name in ("w_text", "w_ts"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be finite and >= 0")
 
 
 @dataclass

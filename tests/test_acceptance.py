@@ -455,7 +455,7 @@ def test_criterion_9_repetition_mechanics():
         values = rng.normal(size=3 * cfg.patch_len)
         series = codec.RawSeries(values)
         before = series.values.tobytes()
-        feats = codec.patchify(series, cfg.patch_len).features
+        feats = codec.patchify(series, cfg.patch_len)[0]
         n_patches = feats.shape[0]
         text_ids = list(range(6))
         for r in (1, 2, 64):

@@ -93,6 +93,15 @@ def test_config_from_an_older_version_is_data_error(tmp_path):
         C.load_checkpoint(path)
 
 
+@pytest.mark.parametrize("value", [0, -2, True, 16.0, "16", None])
+def test_config_value_not_a_positive_int_is_data_error(tmp_path, value):
+    path = str(tmp_path / "bad.ckpt")
+    _write_raw(path, _manifest(config=dict(dataclasses.asdict(TINY), d_model=value)),
+               np.ones(2, dtype="<f4").tobytes())
+    with pytest.raises(DataError, match="d_model must be a positive integer"):
+        C.load_checkpoint(path)
+
+
 def test_config_without_a_field_is_data_error(tmp_path):
     # max_seq differs from its default, which a missing key would silently take
     config = dataclasses.asdict(TINY)

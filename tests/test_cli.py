@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import hashlib
 import json
@@ -325,6 +326,54 @@ def test_truth_record_without_context_exit_3(inputs, capsys):
     assert "truth.jsonl" in err and "'context'" in err
 
 
+def _embedding_records(width=2, n=4):
+    return [{"id": f"s{i}", "embedding": [float(i + j) for j in range(width)]}
+            for i in range(n)]
+
+
+# (labels, extra probe flags, the file with widths other than 2 or None)
+MALFORMED_PROBES = {
+    "balanced-negative-label": ([0, 1, -1, 1], ["--class-balanced"], None),
+    "all-labels-negative": ([-1] * 4, [], None),
+    "negative-label": ([0, 1, -1, 1], [], None),
+    "two-embedding-widths": ([0, 1, 0, 1], [], "emb.jsonl"),
+    "test-width-differs": ([0, 1, 0, 1], ["--test-embeddings", "test_emb.jsonl",
+                                          "--test-labels", "labels.jsonl"], "test_emb.jsonl"),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_PROBES))
+def test_probe_malformed_records_exit_3_naming_the_file(workdir, capsys, case):
+    labels, flags, wide = MALFORMED_PROBES[case]
+    codec.write_jsonl("labels.jsonl",
+                      [{"id": f"s{i}", "label": y} for i, y in enumerate(labels)])
+    embeddings = _embedding_records()
+    if wide == "emb.jsonl":
+        embeddings[2]["embedding"].append(0.5)
+    codec.write_jsonl("emb.jsonl", embeddings)
+    codec.write_jsonl("test_emb.jsonl", _embedding_records(width=3))
+    assert run("probe", "--embeddings", "emb.jsonl", "--labels", "labels.jsonl",
+               "--epochs", "2", *flags, "--out", "p.json") == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and err.count("\n") == 1
+    assert (wide or "labels.jsonl") in err
+
+
+@pytest.mark.parametrize("preds", [
+    [{"id": "a", "scores": [0.9, 0.1]}, {"id": "b", "scores": [0.4, 0.5, 0.1]}],
+    [{"id": "a", "scores": [0.9, 0.1]}, {"id": "b", "label": 1}],
+    [{"id": "a", "label": 0}, {"id": "b", "scores": [0.4, 0.6]}],
+    [{"id": "a", "label": 0}, {"id": "b", "label": -1}],
+], ids=["two-score-widths", "scores-then-label", "label-then-scores", "negative-label"])
+def test_eval_cls_malformed_predictions_exit_3_naming_the_file(workdir, capsys, preds):
+    codec.write_jsonl("pred.jsonl", preds)
+    codec.write_jsonl("cls.jsonl", [{"id": "a", "label": 0}, {"id": "b", "label": 1}])
+    assert run("eval", "cls", "--pred", "pred.jsonl", "--truth", "cls.jsonl",
+               "--out", "r.json") == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: pred.jsonl: ") and err.count("\n") == 1
+
+
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
@@ -343,6 +392,54 @@ def test_damaged_checkpoint_never_escapes_embed(inputs, data):
     (inputs / "damaged.ckpt").write_bytes(bytes(damaged))
     code = run("embed", "--ckpt", "damaged.ckpt", "--input", "s.jsonl", "--out", "e.jsonl")
     assert code in (0, 2, 3, 4)
+
+
+# every command that reads JSONL, with the JSONL files it reads
+FUZZ_RUNS = [
+    (["forecast", "--ckpt", "m.ckpt", "--input", "s.jsonl", "--horizon", "4"], ["s.jsonl"]),
+    (["embed", "--ckpt", "m.ckpt", "--input", "s.jsonl"], ["s.jsonl"]),
+    (["probe", "--embeddings", "e.jsonl", "--labels", "l.jsonl", "--epochs", "2",
+      "--test-embeddings", "e2.jsonl", "--test-labels", "l2.jsonl"],
+     ["e.jsonl", "l.jsonl", "e2.jsonl", "l2.jsonl"]),
+    (["eval", "forecast", "--pred", "f.jsonl", "--truth", "truth.jsonl"],
+     ["f.jsonl", "truth.jsonl"]),
+    (["eval", "cls", "--pred", "pred.jsonl", "--truth", "cls.jsonl"],
+     ["pred.jsonl", "cls.jsonl"]),
+]
+FUZZ_VALUES = st.sampled_from(["x", "", True, False, None, [], [[]], [[1.0, 2.0]], [[[0.5]]],
+                               {"k": 1}, 10 ** 400, -(10 ** 400), -3, -2.5, 0, [-1], [None],
+                               ["x", 1.0], [10 ** 400]]).map(copy.deepcopy)
+
+
+@settings(max_examples=600, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_malformed_jsonl_never_escapes_a_command(every_input, data):
+    """Dropped keys, values of the wrong type and cut lines in any JSONL input end
+    in an exit code, never a traceback."""
+    argv, files = data.draw(st.sampled_from(FUZZ_RUNS), label="command")
+    target = data.draw(st.sampled_from(files), label="file")
+    records = [json.loads(line) for line in (every_input / target).read_text().splitlines()]
+    for _ in range(data.draw(st.integers(1, 3), label="edits")):
+        record = data.draw(st.sampled_from(records), label="record")
+        key = data.draw(st.sampled_from(sorted(record)), label="key")
+        if data.draw(st.booleans(), label="drop"):
+            del record[key]
+        elif isinstance(record[key], list) and record[key] and data.draw(st.booleans()):
+            where = data.draw(st.integers(0, len(record[key]) - 1), label="element")
+            record[key][where] = data.draw(FUZZ_VALUES, label="element value")
+        else:
+            record[key] = data.draw(FUZZ_VALUES, label="value")
+        if not record:
+            records.remove(record)
+        if not records:
+            break
+    text = "".join(json.dumps(r) + "\n" for r in records)
+    if data.draw(st.booleans(), label="cut"):
+        text = text[:data.draw(st.integers(0, len(text)), label="cut at")]
+    (every_input / "fuzz.jsonl").write_text(text)
+    fuzzed = ["fuzz.jsonl" if arg == target else arg for arg in argv]
+    assert run(*fuzzed, "--out", "o.json") in (0, 2, 3, 4)
 
 
 # -- run identity ------------------------------------------------------------------
@@ -504,3 +601,51 @@ def test_train_resume_cuts_metrics_back_to_the_checkpoint(workdir):
     assert run("--seed", "1", "train", "--config", "run.toml", "--stage", "2",
                "--resume", "run_out/stage1.ckpt") == 0
     assert (workdir / "run_out" / "metrics.jsonl").read_bytes() == first
+
+
+def _with_value(text, section, key, raw):
+    """Config text with ``key = raw`` in [section], in place of any earlier value."""
+    out, current = [], None
+    for line in text.splitlines():
+        if line.startswith("["):
+            current = line.strip("[]")
+            out.append(line)
+            if current == section:
+                out.append(f"{key} = {raw}")
+        elif not (current == section and line.split("=")[0].strip() == key):
+            out.append(line)
+    return "\n".join(out) + "\n"
+
+
+@pytest.mark.parametrize("section, key, raw", [
+    ("stage1", "log_every", "0"),
+    ("stage1", "seq_len", "16.5"),
+    ("model", "d_model", "16.0"),
+    ("model", "n_layers", "true"),
+    ("stage1", "text_prob", '"x"'),
+    ("stage1", "w_ts", '"x"'),
+    ("stage2", "w_text", "-1.0"),
+    ("data", "synth_length", '"a"'),
+    ("data", "align_length", "1"),
+    ("data", "synthetic_batch_prob", "1.5"),
+    ("stage1", "micro_batch", "0"),
+    ("stage1", "seq_len", "0"),
+    ("stage2", "seq_len", "65"),  # above [model] max_seq
+    ("stage1", "total_steps", "-1"),
+])
+def test_train_config_value_of_wrong_type_or_range_exit_2(workdir, capsys, section, key, raw):
+    _write_training_fixture(workdir)
+    (workdir / "bad.toml").write_text(
+        _with_value((workdir / "run.toml").read_text(), section, key, raw))
+    capsys.readouterr()
+    assert run("train", "--config", "bad.toml") == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: [{section}] {key} ") and err.count("\n") == 1
+    assert not os.path.exists("run_out")
+
+
+def test_train_config_float_field_takes_an_int(workdir):
+    _write_training_fixture(workdir)
+    (workdir / "int.toml").write_text(
+        _with_value((workdir / "run.toml").read_text(), "stage1", "w_ts", "1"))
+    assert run("--seed", "1", "train", "--config", "int.toml", "--stage", "1") == 0

@@ -85,38 +85,39 @@ def test_channel_ramp(n, expect):
 
 
 def test_patchify_exact_fit():
-    pb = codec.patchify(codec.RawSeries(np.arange(64.0)), patch_len=32)
-    assert len(pb.features) == 2
-    assert pb.validity.all()
+    feats = codec.patchify(codec.RawSeries(np.arange(64.0)), patch_len=32)
+    assert feats.shape == (1, 2, 4 * 32) and feats.dtype == np.float32
+    assert (feats[..., 64:96] == 1.0).all()
 
 
 def test_patchify_partial_patch():
-    pb = codec.patchify(codec.RawSeries(np.arange(33.0)), patch_len=32)
-    assert len(pb.features) == 2
-    assert pb.validity[1].sum() == 1
+    feats = codec.patchify(codec.RawSeries(np.arange(33.0)), patch_len=32)
+    assert feats.shape == (1, 2, 4 * 32)
+    assert feats[0, 1, 64:96].sum() == 1
+    assert not feats[0, 1].reshape(4, 32)[:, 1:].any()  # the tail zeroes every block
 
 
 def test_patchify_nan_masks_value():
     x = np.arange(10.0)
     x[3] = np.nan
-    pb = codec.patchify(codec.RawSeries(x), patch_len=16)
+    feats = codec.patchify(codec.RawSeries(x), patch_len=16)[0]
     P = 16
-    assert pb.validity[0][3] == False  # noqa: E712
-    assert pb.features[0][P + 3] == 0.0          # value block zeroed
-    assert pb.features[0][3] != 0.0              # ramp survives at NaN
+    assert feats[0][2 * P + 3] == 0.0         # mask block zeroed
+    assert feats[0][P + 3] == 0.0             # value block zeroed
+    assert feats[0][3] != 0.0                 # ramp survives at NaN
 
 
 def test_feature_block_order():
     x = np.ones(4)
-    pb = codec.patchify(codec.RawSeries(x), patch_len=4)
+    feats = codec.patchify(codec.RawSeries(x), patch_len=4)[0]
     P = 4
-    r, v, m, c = (pb.features[0][i * P:(i + 1) * P] for i in range(4))
+    r, v, m, c = (feats[0][i * P:(i + 1) * P] for i in range(4))
     assert np.allclose(r, codec.extend_time_ramp(4, 0, 4))
     # constant series: sigma clamps, values normalize to 0
     assert np.allclose(v, 0.0)
     assert np.allclose(m, 1.0)
     assert np.allclose(c, 0.0)
-    assert pb.features.shape[1] == 4 * P
+    assert feats.shape[1] == 4 * P
 
 
 def test_feature_vector_assembled_by_hand():
@@ -130,17 +131,67 @@ def test_feature_vector_assembled_by_hand():
 
 def test_multichannel_layout_and_ramp_reset():
     values = np.stack([np.arange(6.0), np.arange(6.0) * 2])
-    pb = codec.patchify(codec.RawSeries(values), patch_len=4)
-    assert len(pb.features) == 4  # 2 per channel
-    assert [s.start for s in pb.channel_slices] == [0, 2]
+    feats = codec.patchify(codec.RawSeries(values), patch_len=4)
+    assert feats.shape == (2, 2, 16)  # 2 patches per channel
     P = 4
     # ramp block restarts at the channel boundary
-    first_ramp_c0 = pb.features[0][:P]
-    first_ramp_c1 = pb.features[2][:P]
+    first_ramp_c0 = feats[0, 0][:P]
+    first_ramp_c1 = feats[1, 0][:P]
     assert np.allclose(first_ramp_c0, first_ramp_c1)
     # channel block: 0 for channel 0, 1 for channel 1 (within the length)
-    assert np.allclose(pb.features[0][3 * P:], 0.0)
-    assert np.allclose(pb.features[2][3 * P:3 * P + 2], [1.0, 1.0])
+    assert np.allclose(feats[0, 0][3 * P:], 0.0)
+    assert np.allclose(feats[1, 0][3 * P:3 * P + 2], [1.0, 1.0])
+
+
+def _pad_to_patches(x, patch_len, fill=0.0):
+    n_patches = math.ceil(x.size / patch_len)
+    padded = np.full(n_patches * patch_len, fill, dtype=np.float64)
+    padded[: x.size] = x
+    return padded.reshape(n_patches, patch_len)
+
+
+def per_channel_patchify(series, patch_len, stats=None):
+    """The per-channel loop that ``codec.patchify`` replaced, kept as its oracle:
+    ([C*n, 4P] features, [C*n, P] bool validity, one row slice per channel)."""
+    if stats is None:
+        stats = codec.compute_visible_stats(series)
+    normed = codec.normalize(series.values, stats)
+    channel_vals = codec.build_channel_ramp(series.n_channels)
+    feats, valids, slices = [], [], []
+    row = 0
+    length = series.length
+    for c in range(series.n_channels):
+        finite = np.isfinite(series.values[c])
+        v_p = _pad_to_patches(np.where(finite, normed[c], 0.0), patch_len)
+        m_p = _pad_to_patches(finite.astype(np.float64), patch_len)
+        r_p = _pad_to_patches(codec.extend_time_ramp(length, 0, length), patch_len)
+        c_p = channel_vals[c] * _pad_to_patches(np.ones(length), patch_len)
+        feats.append(codec.assemble_features(r_p, v_p, m_p, c_p))
+        valids.append(m_p.astype(bool))
+        slices.append(slice(row, row + len(v_p)))
+        row += len(v_p)
+    return np.concatenate(feats), np.concatenate(valids), slices
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 80), st.integers(1, 9),
+       st.integers(0, 2 ** 31 - 1), st.booleans())
+def test_patchify_matches_per_channel_oracle(channels, length, patch_len, seed, explicit):
+    rng = np.random.default_rng(seed)
+    values = rng.normal(scale=rng.uniform(0.1, 50), size=(channels, length))
+    values[rng.random(values.shape) < rng.uniform(0, 0.6)] = np.nan
+    values[np.arange(channels), rng.integers(0, length, channels)] = rng.normal(size=channels)
+    series = codec.RawSeries(values)
+    stats = (codec.NormStats(rng.normal(size=channels), rng.uniform(0.5, 3, channels))
+             if explicit else None)
+    feats = codec.patchify(series, patch_len, stats=stats)
+    oracle, validity, slices = per_channel_patchify(series, patch_len, stats)
+    n = math.ceil(length / patch_len)
+    P = patch_len
+    assert feats.shape == (channels, n, 4 * P) and feats.dtype == np.float32
+    assert feats.reshape(-1, 4 * P).tobytes() == oracle.tobytes()
+    assert np.array_equal(validity, feats[..., 2 * P:3 * P].reshape(-1, P) > 0)
+    assert slices == [slice(c * n, (c + 1) * n) for c in range(channels)]
 
 
 def test_multichannel_stats_per_channel():

@@ -152,7 +152,7 @@ def test_repeat_leaves_series_unchanged():
     values = np.arange(8.0)
     series = codec.RawSeries(values)
     before = series.values.tobytes()
-    feats = codec.patchify(series, cfg.patch_len).features
+    feats = codec.patchify(series, cfg.patch_len)[0]
     inference.build_repeat_layout(feats, repeat=4)
     assert series.values.tobytes() == before
 

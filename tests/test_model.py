@@ -42,6 +42,9 @@ def test_config_validation():
         M.ModelConfig(n_q_heads=3, n_kv_heads=2)
     with pytest.raises(ConfigError):
         M.ModelConfig(head_dim=32)  # 4 * 32 != 64
+    for bad in (0, True, 64.0):
+        with pytest.raises(ConfigError, match="d_model must be a positive integer"):
+            M.ModelConfig(d_model=bad)
 
 
 def test_paper_scale_config_expressible():

@@ -86,8 +86,7 @@ def test_build_ts_batch_cut_channel_keeps_last_target():
     P = 4
     ramp = np.arange(3 * P, dtype=float)
     series = codec.RawSeries(np.stack([ramp, (ramp - 5.0) ** 2]))  # 3 patches per channel
-    pb = codec.patchify(series, P)
-    ch0, ch1 = (pb.features[sl] for sl in pb.channel_slices)
+    ch0, ch1 = codec.patchify(series, P)
     batch = data.build_ts_batch(lambda: series, seq_len=5, micro_batch=1, patch_len=P)
     # channel 0 whole, channel 1 cut after its second patch
     assert np.array_equal(batch.inputs.patches, np.concatenate([ch0, ch1[:2]]))
@@ -162,7 +161,7 @@ def test_interleaved_loss_routing(vocab):
 def test_interleaved_cut_inside_series(vocab):
     P = 4
     series = codec.RawSeries(np.arange(3 * P, dtype=float))  # 3 whole patches
-    feats = codec.patchify(series, P).features
+    feats = codec.patchify(series, P)[0]
     up = bpe.encode(b"up", vocab)
     n = len(up)
     ts_begin = vocab.specials["<|ts_begin|>"]
@@ -191,7 +190,7 @@ def test_interleaved_cut_inside_series(vocab):
 def test_interleaved_short_sample_padded_with_unsupervised_eos(vocab):
     P = 4
     series = codec.RawSeries(np.arange(2 * P, dtype=float))  # 2 whole patches
-    feats = codec.patchify(series, P).features
+    feats = codec.patchify(series, P)[0]
     up = bpe.encode(b"up", vocab)
     n = len(up)
     eos = vocab.specials["<|eos|>"]
