@@ -8,8 +8,9 @@ The map covers:
 - the per-step records and final parameters of four 30-step training runs,
   each at seq_len 16 and 33: text only, TS only, interleaved (text 0.5,
   align 0.3) and all-aligned;
-- forecasts with and without a text prefix, and embeddings of series, text
-  and both at repeat 1-3;
+- forecasts with and without a text prefix, of univariate contexts and of
+  2- and 3-channel gappy series, and embeddings of series, text and both at
+  repeat 1-3;
 - ``codec.patchify`` features, as [C*n, 4P] rows: one channel that fits
   whole patches, a padded last patch, interior NaNs, three gappy channels,
   P = 1, P > L, and explicit stats on a front-NaN-padded context.
@@ -152,6 +153,12 @@ def inference_digests(params: dict, out: dict) -> None:
             out[f"embed.r{repeat}.text{len(text_ids)}"] = digest(emb)
     out["embed.text_only"] = digest(inference.extract_embedding(params, CONFIG,
                                                                 text_ids=(4, 2, 9)))
+    for channels in (2, 3):
+        series = gappy_series(rng, channels, 18)
+        for text_ids in ((), (3, 1, 7)):
+            results = inference.forecast_series(params, CONFIG, series, 9, text_ids)
+            out[f"forecast.multi.c{channels}.text{len(text_ids)}"] = digest(
+                *(a for r in results for a in (r.quantiles, r.median)))
 
 
 def main() -> None:

@@ -245,12 +245,14 @@ def _join_by_id(embeddings_path: str, labels_path: str):
 
 
 def cmd_probe(args) -> tuple[list[str], dict]:
+    if (args.test_embeddings is None) != (args.test_labels is None):
+        raise ConfigError("--test-embeddings and --test-labels must be given together")
     x, y = _join_by_id(args.embeddings, args.labels)
     n_classes = int(y.max()) + 1
     train = inference.train_linear_probe if args.head == "linear" else inference.train_mlp_head
     head = train(x, y, n_classes, epochs=args.epochs, seed=args.seed,
                  class_balanced=args.class_balanced)
-    if args.test_embeddings and args.test_labels:
+    if args.test_embeddings is not None:
         x_eval, y_eval = _join_by_id(args.test_embeddings, args.test_labels)
         if x_eval.shape[1] != x.shape[1]:
             raise DataError(f"{args.test_embeddings}: embeddings of width {x_eval.shape[1]}, "
@@ -297,6 +299,8 @@ def cmd_eval_forecast(args) -> tuple[list[str], dict]:
             levels=levels,
             season=season,
         ))
+    if not tasks:
+        raise DataError(f"{args.truth}: no records")
     report = metrics.evaluate_forecast_tasks(tasks)
     with open(args.out, "w") as fh:
         json.dump(report.to_dict(), fh, indent=2)
@@ -322,6 +326,8 @@ def cmd_eval_cls(args) -> tuple[list[str], dict]:
             y_pred.append(int(np.argmax(s)))
         else:
             y_pred.append(_field(pred, "label", args.pred, _label))
+    if not y_true:
+        raise DataError(f"{args.truth}: no records")
     y_true = np.asarray(y_true)
     y_pred = np.asarray(y_pred)
     payload = {

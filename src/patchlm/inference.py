@@ -5,14 +5,15 @@ cache: normalization statistics come from the original context once and
 stay fixed for every step; the per-step quantile matrix is sorted to
 repair crossings and the median patch feeds back as the next input.
 Contexts front-pad with NaN to the next patch boundary so generation
-starts exactly where the data ends.
+starts exactly where the data ends.  A series' C channels are decoded
+as C independent rows of one batch, each a univariate series (channel ramp 0).
 
 Embedding extraction mean-pools the final-norm hidden states over every
 position, with the whole TS patch block optionally repeated r times to
 rebalance the modality share against long text prefixes.
 
-Both forecasting and embedding hand the model one ``model.Inputs`` row:
-the text prefix's token ids, then ``model.PATCH`` at each patch position.
+Both hand the model one ``model.Inputs`` row per sequence: the text
+prefix's token ids, then ``model.PATCH`` at each patch position.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from . import codec, losses
 from . import model as M
 from . import optim
 from . import tensor as T
-from .errors import ConfigError, InvalidSeriesError
+from .errors import ConfigError
 from .tensor import Tensor
 
 
@@ -37,54 +38,58 @@ class ForecastResult:
     levels: np.ndarray
 
 
-def _pad_to_patch_boundary(values: np.ndarray, patch_len: int) -> np.ndarray:
-    """Front-pad with NaN so the context ends exactly on a patch boundary."""
-    rem = len(values) % patch_len
-    if rem == 0:
-        return values
-    return np.concatenate([np.full(patch_len - rem, np.nan), values])
-
-
 def context_patch_features(values: np.ndarray, patch_len: int,
                            stats: codec.NormStats) -> np.ndarray:
-    padded = _pad_to_patch_boundary(np.asarray(values, dtype=np.float64), patch_len)
-    series = codec.RawSeries(padded)
-    return codec.patchify(series, patch_len, stats=stats)[0]
+    """[C, n, 4P] features of a [C, L] context front-padded with NaN to the
+    next patch boundary, each channel with the channel ramp 0 of one series."""
+    values = np.asarray(values, dtype=np.float64)
+    padded = np.pad(values, ((0, 0), (-values.shape[1] % patch_len, 0)),
+                    constant_values=np.nan)
+    feats = codec.patchify(codec.RawSeries(padded), patch_len, stats=stats)
+    feats[..., 3 * patch_len:] = 0.0
+    return feats
 
 
 def _generated_patch_features(median_patch: np.ndarray, padded_len: int, start: int,
                               patch_len: int) -> np.ndarray:
-    ramp = codec.extend_time_ramp(padded_len, start, patch_len)
-    mask = np.ones(patch_len)
-    channel = np.zeros(patch_len)
-    return codec.assemble_features(ramp[None, :], median_patch[None, :],
-                                   mask[None, :], channel[None, :])
+    """[C, 1, 4P] features of the [C, P] median patches generated at ``start``."""
+    ramp = np.broadcast_to(codec.extend_time_ramp(padded_len, start, patch_len),
+                           median_patch.shape)
+    feats = codec.assemble_features(ramp, median_patch, np.ones_like(median_patch),
+                                    np.zeros_like(median_patch))
+    return feats[:, None, :]
 
 
 def _text_then_patches(text_ids: Sequence[int], patches: np.ndarray) -> M.Inputs:
-    """One sequence: the text tokens, then one position per patch row."""
-    ids = np.concatenate([np.asarray(list(text_ids), dtype=np.int64),
-                          np.full(len(patches), M.PATCH, dtype=np.int64)])
-    return M.Inputs(ids[None, :], patches)
+    """B sequences from [B, n, 4P] patches: the text tokens, then the n patches."""
+    B, n = patches.shape[:2]
+    ids = np.full((B, len(text_ids) + n), M.PATCH, dtype=np.int64)
+    ids[:, :len(text_ids)] = np.asarray(list(text_ids), dtype=np.int64)
+    return M.Inputs(ids, patches.reshape(B * n, patches.shape[2]))
 
 
 def forecast_values(params: dict[str, Tensor], config: M.ModelConfig,
                     values: np.ndarray, horizon: int,
                     text_ids: Sequence[int] = ()) -> ForecastResult:
     """Quantile forecast for a univariate context (1-D array, NaN = missing)."""
-    values = np.asarray(values, dtype=np.float64).reshape(-1)
+    return forecast_series(params, config, codec.RawSeries(values), horizon, text_ids)[0]
+
+
+def forecast_series(params: dict[str, Tensor], config: M.ModelConfig,
+                    series: codec.RawSeries, horizon: int,
+                    text_ids: Sequence[int] = ()) -> list[ForecastResult]:
+    """Channel-independent forecasts for a [C, L] series, one per channel,
+    decoded as one C-row batch."""
     if horizon < 1:
         raise ConfigError("horizon must be >= 1")
-    if not np.isfinite(values).any():
-        raise InvalidSeriesError("context has no finite values")
     P = config.patch_len
-    stats = codec.compute_visible_stats(codec.RawSeries(values))
-    feats = context_patch_features(values, P, stats)
-    padded_len = feats.shape[0] * P
+    stats = codec.compute_visible_stats(series)
+    feats = context_patch_features(series.values, P, stats)
+    padded_len = feats.shape[1] * P
     levels = losses.quantile_levels(config.n_quantiles)
 
     n_steps = -(-horizon // P)
-    need = len(text_ids) + feats.shape[0] + n_steps
+    need = len(text_ids) + feats.shape[1] + n_steps
     if need > config.max_seq:
         raise ConfigError(f"context+horizon needs {need} positions > max_seq {config.max_seq}")
 
@@ -93,34 +98,25 @@ def forecast_values(params: dict[str, Tensor], config: M.ModelConfig,
         cache = M.KVCache(config)
         hidden = M.forward_hidden(params, config, _text_then_patches(text_ids, feats),
                                   cache=cache)
-        last = Tensor(hidden.data[0, -1:])
+        last = Tensor(hidden.data[:, -1])
         for step in range(n_steps):
-            q_hat = losses.quantile_head(params, config, last).data[0]  # [P, Q]
+            q_hat = losses.quantile_head(params, config, last).data   # [C, P, Q]
             q_sorted = np.sort(q_hat, axis=-1)
             collected.append(q_sorted)
             if step == n_steps - 1:
                 break
-            median_patch = q_sorted[:, config.n_quantiles // 2]
+            median_patch = q_sorted[:, :, config.n_quantiles // 2]
             feats_next = _generated_patch_features(
                 median_patch, padded_len, padded_len + step * P, P)
             hidden = M.forward_hidden(params, config, _text_then_patches((), feats_next),
                                       cache=cache)
-            last = Tensor(hidden.data[0, :1])
+            last = Tensor(hidden.data[:, 0])
 
-    normed = np.concatenate(collected, axis=0)[:horizon]       # [H, Q]
-    # one channel, so the [1, 1] stats broadcast over [H, Q]; sinh keeps the sort order
-    quantiles = codec.denormalize(normed, stats)
-    return ForecastResult(quantiles=quantiles,
-                          median=quantiles[:, config.n_quantiles // 2],
-                          levels=levels)
-
-
-def forecast_series(params: dict[str, Tensor], config: M.ModelConfig,
-                    series: codec.RawSeries, horizon: int,
-                    text_ids: Sequence[int] = ()) -> list[ForecastResult]:
-    """Channel-independent forecasts for a (possibly multivariate) series."""
-    return [forecast_values(params, config, series.values[c], horizon, text_ids)
-            for c in range(series.n_channels)]
+    normed = np.concatenate(collected, axis=1)[:, :horizon]     # [C, H, Q]
+    # per-channel stats act on [C, H*Q] rows; sinh keeps the sort order
+    quantiles = codec.denormalize(normed.reshape(len(normed), -1), stats).reshape(normed.shape)
+    return [ForecastResult(quantiles=q, median=q[:, config.n_quantiles // 2], levels=levels)
+            for q in quantiles]
 
 
 # ---------------------------------------------------------------------
@@ -136,7 +132,7 @@ def build_repeat_layout(ts_features: Optional[np.ndarray], text_ids: Sequence[in
              else np.asarray(ts_features, dtype=np.float32))
     if len(block) == 0 and len(text_ids) == 0:
         raise ConfigError("embedding layout needs text or series content")
-    return _text_then_patches(text_ids, np.tile(block, (repeat, 1)))
+    return _text_then_patches(text_ids, np.tile(block, (repeat, 1))[None])
 
 
 def extract_embedding(params: dict[str, Tensor], config: M.ModelConfig,

@@ -114,18 +114,10 @@ def binary_auc(scores, labels) -> float:
     neg = scores[labels != 1]
     if len(pos) == 0 or len(neg) == 0:
         return float("nan")
-    order = np.argsort(np.concatenate([neg, pos]), kind="mergesort")
-    ranks = np.empty(len(order), dtype=np.float64)
-    ranks[order] = np.arange(1, len(order) + 1)
-    merged = np.concatenate([neg, pos])
-    # average ranks over ties
-    sorted_vals = merged[order]
-    tie_start = 0
-    for i in range(1, len(order) + 1):
-        if i == len(order) or sorted_vals[i] != sorted_vals[tie_start]:
-            if i - tie_start > 1:
-                ranks[order[tie_start:i]] = ranks[order[tie_start:i]].mean()
-            tie_start = i
+    # a tie group's mean rank: its last rank minus (count - 1) / 2
+    _, group, counts = np.unique(np.concatenate([neg, pos]), return_inverse=True,
+                                 return_counts=True)
+    ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[group]
     rank_sum_pos = ranks[len(neg):].sum()
     u = rank_sum_pos - len(pos) * (len(pos) + 1) / 2.0
     return float(u / (len(pos) * len(neg)))

@@ -191,7 +191,7 @@ def test_criterion_5_kv_cache_equivalence():
             cached = inference.forecast_values(params, cfg, values, horizon)
 
             stats = codec.compute_visible_stats(codec.RawSeries(values))
-            feats = inference.context_patch_features(values, P, stats)
+            feats = inference.context_patch_features(values[None], P, stats)[0]
             padded_len = feats.shape[0] * P
             collected = []
             with T.no_grad():
@@ -203,7 +203,7 @@ def test_criterion_5_kv_cache_equivalence():
                     median = q_sorted[:, cfg.n_quantiles // 2]
                     feats = np.concatenate([
                         feats, inference._generated_patch_features(
-                            median, padded_len, padded_len + step * P, P)], axis=0)
+                            median[None], padded_len, padded_len + step * P, P)[0]], axis=0)
             expect_normed = np.concatenate(collected)[:horizon]
             # compare in the model-output domain (arcsinh undoes denormalization exactly)
             cached_normed = np.arcsinh((cached.quantiles - stats.mu[0]) / stats.sigma[0])

@@ -8,7 +8,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 from patchlm import bpe, checkpoint, codec
@@ -374,6 +374,33 @@ def test_eval_cls_malformed_predictions_exit_3_naming_the_file(workdir, capsys, 
     assert err.startswith("data error: pred.jsonl: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("flag, path", [("--test-embeddings", "test_emb.jsonl"),
+                                        ("--test-labels", "labels.jsonl")])
+def test_probe_test_flag_without_its_partner_exit_2(workdir, capsys, flag, path):
+    codec.write_jsonl("labels.jsonl", [{"id": f"s{i}", "label": i % 2} for i in range(4)])
+    codec.write_jsonl("emb.jsonl", _embedding_records())
+    codec.write_jsonl("test_emb.jsonl", _embedding_records(n=2))
+    assert run("probe", "--embeddings", "emb.jsonl", "--labels", "labels.jsonl",
+               "--epochs", "2", flag, path, "--out", "p.json") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "--test-labels" in err
+    assert not os.path.exists("p.json")
+
+
+@pytest.mark.parametrize("command, pred", [
+    ("forecast", {"id": "a", "quantiles": [[1.0, 2.0, 3.0]], "median": [2.0]}),
+    ("cls", {"id": "a", "label": 0}),
+])
+def test_eval_truth_without_records_exit_3_naming_the_file(workdir, capsys, command, pred):
+    codec.write_jsonl("pred.jsonl", [pred])
+    (workdir / "empty.jsonl").write_text("\n")
+    assert run("eval", command, "--pred", "pred.jsonl", "--truth", "empty.jsonl",
+               "--out", "r.json") == 3
+    err = capsys.readouterr().err
+    assert err == "data error: empty.jsonl: no records\n"
+    assert not os.path.exists("r.json")
+
+
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
@@ -440,6 +467,63 @@ def test_malformed_jsonl_never_escapes_a_command(every_input, data):
     (every_input / "fuzz.jsonl").write_text(text)
     fuzzed = ["fuzz.jsonl" if arg == target else arg for arg in argv]
     assert run(*fuzzed, "--out", "o.json") in (0, 2, 3, 4)
+
+
+FORECAST_MODEL = dataclasses.replace(TINY, vocab_size=262)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_forecast_fits_max_seq_or_exits_2(inputs, data):
+    """1-3 channel series, horizons and text prefixes around max_seq: the run exits 2
+    when text, context and horizon patches overflow max_seq, and otherwise exits 0
+    with one record of sorted [H, Q] quantiles per channel.  The KV cache's
+    CacheError, which dispatch does not map, is never reached."""
+    if not os.path.exists("warm.ckpt"):
+        params = M.init_params(FORECAST_MODEL, seed=1)
+        rng = np.random.default_rng(1)
+        for p in params.values():
+            if p.data.ndim == 2 and not p.data.any():
+                p.data[:] = rng.normal(0, 0.3, size=p.shape)
+        tensors = {f"param.{k}": v for k, v in checkpoint.params_to_tensors(params).items()}
+        checkpoint.save_checkpoint("warm.ckpt", FORECAST_MODEL, tensors)
+    P = FORECAST_MODEL.patch_len
+    horizon = data.draw(st.integers(0, 40), label="horizon")
+    shapes = data.draw(st.lists(st.tuples(st.integers(1, 3), st.integers(1, 100)),
+                                min_size=1, max_size=2), label="[C, L] per series")
+    text = data.draw(st.none() | st.text("ab ", max_size=16).map(str.encode), label="text")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    series = []
+    for i, shape in enumerate(shapes):
+        values = rng.normal(size=shape).cumsum(axis=1)
+        values[rng.random(shape) < 0.2] = np.nan
+        values[:, -1] = rng.normal(size=shape[0])  # every channel keeps a finite value
+        series.append(codec.series_to_record(codec.RawSeries(values, series_id=f"s{i}")))
+    codec.write_jsonl("fc_in.jsonl", series)
+    argv = ["forecast", "--ckpt", "warm.ckpt", "--input", "fc_in.jsonl",
+            "--horizon", str(horizon), "--out", "fc_out.jsonl"]
+    n_text = 0
+    if text is not None:
+        (inputs / "prefix.txt").write_bytes(text)
+        argv += ["--text", "prefix.txt", "--vocab", "v.json"]
+        n_text = len(bpe.encode(text, bpe.load_vocab("v.json"))) + 1  # and <|ts_begin|>
+    need = max(n_text + -(-length // P) + -(-horizon // P) for _, length in shapes)
+    fits = horizon >= 1 and need <= FORECAST_MODEL.max_seq
+    event("fits" if fits else "exit 2")
+    if os.path.exists("fc_out.jsonl"):
+        os.remove("fc_out.jsonl")
+    assert run(*argv) == (0 if fits else 2)
+    if fits:
+        records = [json.loads(line) for line in open("fc_out.jsonl")]
+        assert [(r["id"], r["channel"]) for r in records] == [
+            (f"s{i}", c) for i, (channels, _) in enumerate(shapes) for c in range(channels)]
+        for record in records:
+            quantiles = np.asarray(record["quantiles"])
+            assert quantiles.shape == (horizon, FORECAST_MODEL.n_quantiles)
+            assert np.all(np.diff(quantiles, axis=1) >= 0)
+    else:
+        assert not os.path.exists("fc_out.jsonl")
 
 
 # -- run identity ------------------------------------------------------------------

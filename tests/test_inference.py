@@ -82,7 +82,7 @@ def test_forecast_incremental_equals_full_recompute():
 
     # recompute oracle: no cache, rebuild the full sequence each step
     stats = codec.compute_visible_stats(codec.RawSeries(values))
-    feats = inference.context_patch_features(values, P, stats)
+    feats = inference.context_patch_features(values[None], P, stats)[0]
     padded_len = feats.shape[0] * P
     collected = []
     with T.no_grad():
@@ -95,7 +95,7 @@ def test_forecast_incremental_equals_full_recompute():
             collected.append(q_sorted)
             median = q_sorted[:, cfg.n_quantiles // 2]
             nxt = inference._generated_patch_features(
-                median, padded_len, padded_len + step * P, P)
+                median[None], padded_len, padded_len + step * P, P)[0]
             feats = np.concatenate([feats, nxt], axis=0)
     normed = np.concatenate(collected, axis=0)
     expect = np.sinh(normed) * stats.sigma[0] + stats.mu[0]
@@ -122,8 +122,73 @@ def test_forecast_multichannel_independent():
     results = inference.forecast_series(params, cfg, series, horizon=4)
     assert len(results) == 2
     singles = [inference.forecast_values(params, cfg, values[c], 4) for c in range(2)]
+    # a 1-row product goes to BLAS gemv, a C-row one to gemm: the last bits may differ
     for got, want in zip(results, singles):
-        assert got.quantiles.tobytes() == want.quantiles.tobytes()
+        assert np.allclose(got.quantiles, want.quantiles, rtol=1e-5, atol=1e-5)
+    alone = inference.forecast_series(params, cfg, codec.RawSeries(values[:1]), horizon=4)
+    assert alone[0].quantiles.tobytes() == singles[0].quantiles.tobytes()
+
+
+def gappy_channels(rng, channels, length):
+    values = rng.normal(size=(channels, length)).cumsum(axis=1) * rng.uniform(0.5, 5.0)
+    values[rng.random(values.shape) < 0.2] = np.nan
+    values[:, -1] = rng.normal(size=channels)  # every channel keeps a finite value
+    return values
+
+
+@pytest.mark.parametrize("n_kv_heads", [1, 2])
+@pytest.mark.parametrize("text_ids", [(), (3, 1, 7)])
+def test_forecast_channel_bytes_do_not_depend_on_batch_mates(n_kv_heads, text_ids):
+    cfg = tiny_config(n_kv_heads=n_kv_heads)
+    params = warm_params(cfg, seed=29, scale=0.4)
+    rng = np.random.default_rng(n_kv_heads + 10 * len(text_ids))
+
+    def forecast(values):
+        results = inference.forecast_series(params, cfg, codec.RawSeries(values), 7, text_ids)
+        return [r.quantiles.tobytes() for r in results]
+
+    for channels in (2, 3, 4):
+        length = int(rng.integers(5, 30))
+        values = gappy_channels(rng, channels, length)
+        base = forecast(values)
+        order = rng.permutation(channels)[::-1]
+        assert forecast(values[order]) == [base[c] for c in order]
+        replaced = values.copy()
+        replaced[1:] = gappy_channels(rng, channels - 1, length)
+        assert forecast(replaced)[0] == base[0]
+        added = np.concatenate([values, gappy_channels(rng, 2, length)])
+        assert forecast(added)[:channels] == base
+
+
+def test_forecast_series_incremental_equals_full_recompute():
+    cfg = tiny_config()
+    params = warm_params(cfg, seed=31, scale=0.4)
+    values = gappy_channels(np.random.default_rng(2), 3, 17)
+    text_ids = [5, 2]
+    P = cfg.patch_len
+    fast = inference.forecast_series(params, cfg, codec.RawSeries(values), 3 * P, text_ids)
+
+    # recompute oracle: no cache, rebuild all C sequences each step
+    stats = codec.compute_visible_stats(codec.RawSeries(values))
+    feats = inference.context_patch_features(values, P, stats)
+    padded_len = feats.shape[1] * P
+    collected = []
+    with T.no_grad():
+        for step in range(3):
+            ids = np.concatenate([np.tile(text_ids, (3, 1)),
+                                  np.full(feats.shape[:2], M.PATCH)], axis=1)
+            hidden = M.forward_hidden(params, cfg,
+                                      M.Inputs(ids, feats.reshape(-1, 4 * P)))
+            q_hat = losses.quantile_head(params, cfg, T.Tensor(hidden.data[:, -1])).data
+            q_sorted = np.sort(q_hat, axis=-1)
+            collected.append(q_sorted)
+            nxt = inference._generated_patch_features(
+                q_sorted[:, :, cfg.n_quantiles // 2], padded_len, padded_len + step * P, P)
+            feats = np.concatenate([feats, nxt], axis=1)
+    normed = np.concatenate(collected, axis=1)
+    for c, result in enumerate(fast):
+        expect = np.sinh(normed[c]) * stats.sigma[c] + stats.mu[c]
+        assert np.allclose(result.quantiles, expect, atol=1e-5)
 
 
 def test_forecast_respects_max_seq():

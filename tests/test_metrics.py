@@ -150,6 +150,38 @@ def test_auc_matches_roc_integral():
             roc_integral_oracle(scores, labels), abs=1e-12)
 
 
+def tie_loop_auc_oracle(scores, labels):
+    """The Mann-Whitney AUC with ties averaged by a Python loop over sorted runs."""
+    scores = np.asarray(scores, dtype=np.float64)
+    pos = scores[labels == 1]
+    neg = scores[labels != 1]
+    merged = np.concatenate([neg, pos])
+    order = np.argsort(merged, kind="mergesort")
+    ranks = np.empty(len(order), dtype=np.float64)
+    ranks[order] = np.arange(1, len(order) + 1)
+    sorted_vals = merged[order]
+    tie_start = 0
+    for i in range(1, len(order) + 1):
+        if i == len(order) or sorted_vals[i] != sorted_vals[tie_start]:
+            if i - tie_start > 1:
+                ranks[order[tie_start:i]] = ranks[order[tie_start:i]].mean()
+            tie_start = i
+    u = ranks[len(neg):].sum() - len(pos) * (len(pos) + 1) / 2.0
+    return float(u / (len(pos) * len(neg)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 4), st.booleans()), min_size=2, max_size=300))
+def test_binary_auc_equals_tie_loop_oracle(rows):
+    """Heavy ties: scores take at most five distinct values."""
+    scores = np.array([value / 4.0 for value, _ in rows])
+    labels = np.array([int(label) for _, label in rows])
+    if labels.min() == labels.max():
+        assert np.isnan(X.binary_auc(scores, labels))
+    else:
+        assert X.binary_auc(scores, labels) == tie_loop_auc_oracle(scores, labels)
+
+
 def test_auc_multiclass_one_vs_rest():
     labels = np.array([0, 1, 2, 0, 1, 2])
     scores = np.eye(3)[labels]  # perfect per-class scores

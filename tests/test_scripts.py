@@ -15,7 +15,7 @@ def test_digest_script_prints_the_digest_map():
                           env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     digests = json.loads(done.stdout)
-    assert len(digests) == 60
+    assert len(digests) == 64
     assert all(name.split(".")[0] in ("patch", "batch", "train", "forecast", "embed")
                for name in digests)
     assert all(re.fullmatch(r"[0-9a-f]{64}", value) for value in digests.values())
