@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """End-to-end smoke run through the CLI: tokenizer -> two-stage train ->
-forecast -> eval -> embeddings -> probe.  Writes everything under
---out (default demo_run/) and prints the key numbers.
+synthetic contexts -> forecast -> embeddings.  Writes everything under
+--out (default demo_run/) and prints the last training metrics and the
+first forecast median.
 
 python scripts/train_demo.py --steps 300 --out demo_run
 """

@@ -89,7 +89,8 @@ def forecast_series(params: dict[str, Tensor], config: M.ModelConfig,
     levels = losses.quantile_levels(config.n_quantiles)
 
     n_steps = -(-horizon // P)
-    need = len(text_ids) + feats.shape[1] + n_steps
+    # the last generated patch is never fed back, so it takes no position
+    need = len(text_ids) + feats.shape[1] + n_steps - 1
     if need > config.max_seq:
         raise ConfigError(f"context+horizon needs {need} positions > max_seq {config.max_seq}")
 

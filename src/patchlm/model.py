@@ -7,9 +7,10 @@ patch position in row-major order.  Text enters through a tied embedding
 table, patches through a bias-free projection of the 4P feature vector
 followed by RMSNorm.  Blocks are pre-norm RMSNorm with grouped-query
 causal attention (per-head QK RMSNorm, then RoPE as one fused
-``tensor.rope`` node) and a SwiGLU MLP.  Attention output projections,
-SwiGLU w3, and the quantile head start at zero so the whole stack is the
-identity on the residual stream at initialization.
+``tensor.rope`` node) and a SwiGLU MLP, one fused ``tensor.swiglu_mlp``
+node.  Attention output projections, SwiGLU w3, and the quantile head
+start at zero so the whole stack is the identity on the residual stream
+at initialization.
 """
 
 from __future__ import annotations
@@ -260,7 +261,7 @@ def attention_gqa(params: dict[str, Tensor], config: ModelConfig, layer: int,
     k = rope_apply(T.rmsnorm(k, params[p + "k_norm"], NORM_EPS), positions, ROPE_BASE)
 
     if cache is not None:
-        if T.grad_enabled() and (x.requires_grad or x._rules):
+        if T.grad_enabled() and x.requires_grad:
             raise CacheError("KV cache is inference-only; wrap generation in no_grad()")
         k_full, v_full = cache.extend(layer, k.data, v.data)
         k, v = Tensor(k_full), Tensor(v_full)
@@ -276,10 +277,8 @@ def block_forward(params: dict[str, Tensor], config: ModelConfig, layer: int,
     hidden = T.add(hidden, attention_gqa(params, config, layer, attn_in, cache))
     mlp_in = T.rmsnorm(hidden, params[p + "mlp_norm"], NORM_EPS)
     B, S, d = mlp_in.shape
-    flat = T.reshape(mlp_in, (B * S, d))
-    gate = T.silu(T.matmul(flat, params[p + "w1"]))
-    up = T.matmul(flat, params[p + "w2"])
-    mlp = T.matmul(T.mul(gate, up), params[p + "w3"])
+    mlp = T.swiglu_mlp(T.reshape(mlp_in, (B * S, d)),
+                       params[p + "w1"], params[p + "w2"], params[p + "w3"])
     return T.add(hidden, T.reshape(mlp, (B, S, d)))
 
 

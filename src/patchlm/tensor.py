@@ -13,7 +13,7 @@ Design rules kept deliberately strict so every backward rule stays auditable:
 Training math runs in float32; ``grad_check`` demands float64 so the
 central-finite-difference oracle is tight.
 
-Three fused ops carry the hot paths of a train step:
+Four fused ops carry the hot paths of a train step:
 
 * ``softcapped_cross_entropy`` -- the vocab head and its mean CE, worked
   through in row chunks so no [N, V] logit matrix enters the graph.  The
@@ -21,9 +21,15 @@ Three fused ops carry the hot paths of a train step:
   gradients; its backward rules only scale them.
 * ``causal_gqa_attention`` -- grouped-query causal attention with the mask
   and scale built in and no K/V copies.  Its backward reuses the saved
-  probabilities and forms dS once per ``backward()`` call.
+  probabilities.
 * ``rope`` -- the rotary position embedding of q and k as one node; its
   backward is the inverse rotation.
+* ``swiglu_mlp`` -- a block's SwiGLU MLP as one node, with the same float
+  ops in the same order as the generic-op chain it replaces.
+
+Attention and the MLP each need one computation for all of their parents'
+gradients.  Both build their node with ``_make_joint``, which runs that
+computation once per ``backward()`` call and hands each parent its share.
 """
 
 from __future__ import annotations
@@ -62,6 +68,14 @@ Rule = tuple["Tensor", Callable[[np.ndarray], np.ndarray]]
 
 
 class Tensor:
+    """A float array and, while it is in the graph, the rules to its parents.
+
+    A tensor is in the graph exactly when ``requires_grad`` is set: a leaf
+    gets it from its caller, and an op result gets it when grad mode is on
+    and some parent has it.  Only such results keep ``_rules``, so
+    ``requires_grad`` alone answers whether a gradient flows through.
+    """
+
     __slots__ = ("data", "grad", "requires_grad", "_rules")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
@@ -136,7 +150,7 @@ class Tensor:
                     node.grad += g
                 continue
             for parent, fn in node._rules:
-                if not (parent.requires_grad or parent._rules):
+                if not parent.requires_grad:
                     continue
                 contrib = fn(g)
                 key = id(parent)
@@ -150,10 +164,37 @@ def _make(data: np.ndarray, rules: Sequence[Rule]) -> Tensor:
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
-    live = _grad_enabled and any(p.requires_grad or p._rules for p, _ in rules)
+    live = _grad_enabled and any(p.requires_grad for p, _ in rules)
     out.requires_grad = live
     out._rules = tuple(rules) if live else ()
     return out
+
+
+def _make_joint(data: np.ndarray, parents: Sequence[Tensor],
+                grads: Callable[[np.ndarray], Sequence[np.ndarray]]) -> Tensor:
+    """A node whose parents' gradients all come from one ``grads(g)`` call.
+
+    ``grads`` returns one gradient per parent, in order.  The first rule run
+    in a ``backward()`` call computes them all; each parent in the graph
+    then takes its own share once.  Shares of parents outside the graph are
+    dropped at once, and nothing stays held after the last share is taken.
+    """
+    source = None                          # the output gradient of the shares held
+    shares: dict[int, np.ndarray] = {}
+
+    def take(i: int, g: np.ndarray) -> np.ndarray:
+        nonlocal source
+        if source is not g:
+            source = g
+            shares.clear()
+            shares.update((j, d) for j, (p, d) in enumerate(zip(parents, grads(g)))
+                          if p.requires_grad)
+        d = shares.pop(i)
+        if not shares:
+            source = None
+        return d
+
+    return _make(data, [(p, lambda g, i=i: take(i, g)) for i, p in enumerate(parents)])
 
 
 def _check_same_shape(a: Tensor, b: Tensor, op: str) -> None:
@@ -199,13 +240,6 @@ def tanh(a: Tensor) -> Tensor:
 def texp(a: Tensor) -> Tensor:
     y = np.exp(a.data)
     return _make(y, [(a, lambda g: g * y)])
-
-
-def silu(a: Tensor) -> Tensor:
-    ex = np.exp(-np.abs(a.data))  # overflow-safe sigmoid
-    sig = np.where(a.data >= 0, 1.0 / (1.0 + ex), ex / (1.0 + ex))
-    y = a.data * sig
-    return _make(y, [(a, lambda g: g * (sig * (1.0 + a.data * (1.0 - sig))))])
 
 
 def maximum(a: Tensor, b: Tensor) -> Tensor:
@@ -392,7 +426,7 @@ _CE_CHUNK_LOGITS = 1 << 20   # logits per softcapped_cross_entropy chunk
 
 
 def _live(a: Tensor) -> bool:
-    return _grad_enabled and (a.requires_grad or bool(a._rules))
+    return _grad_enabled and a.requires_grad
 
 
 def softcapped_cross_entropy(rows: Tensor, table: Tensor, targets: np.ndarray,
@@ -459,8 +493,7 @@ def causal_gqa_attention(q: Tensor, k: Tensor, v: Tensor, offset: int) -> Tensor
     are [B, Hkv, offset+S, hd].  Query head h reads kv head h // (Hq/Hkv),
     so q is regrouped to [B, Hkv, g*S, hd] and K/V are never copied.  The
     causal mask and the 1/sqrt(hd) scale are applied here.  The backward
-    reuses the saved probabilities and forms dS once per ``backward()``
-    call; the q, k and v rules share it.
+    reuses the saved probabilities and forms dS once for all of q, k and v.
     """
     B, n_q, S, hd = q.shape
     if k.ndim != 4 or k.shape != v.shape or k.shape[0] != B or k.shape[3] != hd:
@@ -480,26 +513,46 @@ def causal_gqa_attention(q: Tensor, k: Tensor, v: Tensor, offset: int) -> Tensor
     np.exp(p, out=p)
     p /= p.sum(axis=-1, keepdims=True)
     out = p @ v.data                                          # [B, Hkv, g*S, hd]
-    shared: dict = {}
 
-    def grad(name: str, g: np.ndarray) -> np.ndarray:
-        # one dS per backward() call; each rule pops its own result once
-        if shared.get("g") is not g or name not in shared:
-            go = g.reshape(out.shape)
-            dv = p.swapaxes(-1, -2) @ go
-            ds = go @ v.data.swapaxes(-1, -2)
-            ds -= (go * out).sum(axis=-1, keepdims=True)
-            ds *= p
-            dq = (ds @ k.data) * scale
-            shared.clear()
-            shared.update(g=g, q=dq.reshape(q.shape), k=ds.swapaxes(-1, -2) @ qs, v=dv)
-        return shared.pop(name)
+    def grads(g: np.ndarray) -> tuple[np.ndarray, ...]:
+        go = g.reshape(out.shape)
+        dv = p.swapaxes(-1, -2) @ go
+        ds = go @ v.data.swapaxes(-1, -2)
+        ds -= (go * out).sum(axis=-1, keepdims=True)
+        ds *= p
+        dq = (ds @ k.data) * scale
+        return dq.reshape(q.shape), ds.swapaxes(-1, -2) @ qs, dv
 
-    return _make(out.reshape(q.shape), [
-        (q, lambda g: grad("q", g)),
-        (k, lambda g: grad("k", g)),
-        (v, lambda g: grad("v", g)),
-    ])
+    return _make_joint(out.reshape(q.shape), (q, k, v), grads)
+
+
+def swiglu_mlp(x: Tensor, w1: Tensor, w2: Tensor, w3: Tensor) -> Tensor:
+    """The SwiGLU MLP ``(silu(x @ w1) * (x @ w2)) @ w3`` on [N, d] rows.
+
+    ``w1`` and ``w2`` are [d, H] and ``w3`` is [H, d_out].  The sigmoid is
+    the overflow-safe two-branch form.  The node keeps ``x @ w1``, ``x @ w2``
+    and the sigmoid; its backward recomputes the gated product from them.
+    """
+    if (x.ndim != 2 or w1.ndim != 2 or w1.shape != w2.shape or w3.ndim != 2
+            or x.shape[1] != w1.shape[0] or w1.shape[1] != w3.shape[0]):
+        raise DimensionError(
+            f"swiglu_mlp: x {x.shape}, w1 {w1.shape}, w2 {w2.shape}, w3 {w3.shape}")
+    h1 = x.data @ w1.data
+    h2 = x.data @ w2.data
+    ex = np.exp(-np.abs(h1))
+    sig = np.where(h1 >= 0, 1.0 / (1.0 + ex), ex / (1.0 + ex))
+    out = (h1 * sig * h2) @ w3.data
+
+    def grads(g: np.ndarray) -> tuple[np.ndarray, ...]:
+        gate = h1 * sig
+        dm = g @ w3.data.T
+        dh2 = dm * gate
+        dh1 = dm * h2
+        dh1 *= sig * (1.0 + h1 * (1.0 - sig))
+        dx = dh1 @ w1.data.T + dh2 @ w2.data.T
+        return dx, x.data.T @ dh1, x.data.T @ dh2, (gate * h2).T @ g
+
+    return _make_joint(out, (x, w1, w2, w3), grads)
 
 
 # ---------------------------------------------------------------------

@@ -157,7 +157,7 @@ class Trainer:
             q_hat, batch.ts_targets.reshape(B * S, -1)[ts_rows], tm[ts_rows], self.levels)
 
         loss = losses.combined_loss(ce, ql, w_text, w_ts)
-        if loss.requires_grad or loss._rules:
+        if loss.requires_grad:
             loss.backward()
             self.optimizer.step(lr_mult)
         self.optimizer.zero_grad()

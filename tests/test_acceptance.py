@@ -1,10 +1,13 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
 Run with `pytest tests/test_acceptance.py -s` to see the per-criterion
-lines.  The desk-scale learning runs (criterion 8) train three small
-models and take a few minutes; everything else is fast.
+lines.  The desk-scale learning runs (criterion 8) are the three
+trainings of scripts/desk_learning.py and take a few minutes; everything
+else is fast.
 """
 
+import importlib.util
+import os
 import time
 from contextlib import contextmanager
 from statistics import NormalDist
@@ -18,6 +21,8 @@ from patchlm import optim as O
 from patchlm import tensor as T
 from patchlm.optim import Schedule
 from patchlm.tensor import Tensor
+
+DESK_SCRIPT = os.path.join(os.path.dirname(__file__), "..", "scripts", "desk_learning.py")
 
 
 @contextmanager
@@ -311,101 +316,38 @@ def test_criterion_7_kernelsynth_conformance():
 # 8. desk-scale learning (shared fixture runs the three trainings once)
 # ---------------------------------------------------------------------
 
-# 50 sentences: five passes over a 10-sentence cycle in which each sentence
-# names the next subject, so every continuation is locally determined
-CHAIN_NOUNS = ["brynaor", "caldeor", "drenior", "fylooor", "gorluor",
-               "hennaor", "jaspeor", "keltior", "lornoor", "maveuor"]
-CHAIN_SENTENCES = [f"the {CHAIN_NOUNS[i]} calls the {CHAIN_NOUNS[(i + 1) % 10]} at dawn."
-                   for i in range(10)] * 5
-
-
-def held_out_seasonal(rng, n=48, length=112):
-    out = []
-    for _ in range(n):
-        period = rng.choice([16, 24, 32, 40])
-        amp = rng.uniform(0.5, 2.0)
-        phase = rng.uniform(0, 2 * np.pi)
-        t = np.arange(length)
-        out.append(amp * np.sin(2 * np.pi * t / period + phase)
-                   + rng.normal(0, 0.05 * amp, length))
-    return out
-
-
-def corpus_ce(params, cfg, ids):
-    stream = data.TokenStream(ids)
-    total, count = 0.0, 0
-    with T.no_grad():
-        for _ in range(max(1, len(ids) // 128) + 1):
-            batch = data.build_text_batch(stream, 128, 1)
-            hidden = M.forward_hidden(params, cfg, batch.inputs)
-            flat = T.reshape(hidden, (128, cfg.d_model))
-            ce, n = losses.lm_loss(params, flat, batch.text_targets[0])
-            total += ce.item() * n
-            count += n
-    return total / count
-
-
-def ts_eval(params, cfg):
-    levels = losses.quantile_levels(cfg.n_quantiles)
-    held = held_out_seasonal(np.random.default_rng(999))
-    horizon = 16
-    tasks = []
-    for i, x in enumerate(held):
-        ctx, tgt = x[:-horizon], x[-horizon:]
-        fc = inference.forecast_values(params, cfg, ctx, horizon)
-        tasks.append(metrics.ForecastTask(f"t{i}", ctx, tgt, fc.quantiles,
-                                          fc.median, levels, season=1))
-    report = metrics.evaluate_forecast_tasks(tasks)
+def ts_eval(desk, params, cfg):
+    report = desk.ts_report(params, cfg)
     assert not report.skipped
-    wql_mean = float(np.mean([t["wql"] for t in report.per_task]))
-    return report.geomean_mase_ratio, report.geomean_wql_ratio, wql_mean
-
-
-def zero_model_wql(cfg):
-    params = M.init_params(cfg, seed=777)
-    _, _, wql_mean = ts_eval(params, cfg)
-    return wql_mean
+    return desk.ts_scores(report)
 
 
 @pytest.fixture(scope="module")
 def desk_runs():
-    """Trains the three desk-scale models for criterion 8 (a few minutes)."""
+    """Trains the three desk-scale models of scripts/desk_learning.py (a few minutes)."""
+    spec = importlib.util.spec_from_file_location("desk_learning", DESK_SCRIPT)
+    desk = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(desk)
     start = time.monotonic()
-    vocab = bpe.bpe_train([" ".join(CHAIN_SENTENCES).encode()], vocab_size=360)
-    ids = data.pack_documents([s.encode() for s in CHAIN_SENTENCES], vocab)
-    cfg = M.ModelConfig(vocab_size=max(512, vocab.size))
+    ids, cfg = desk.corpus()
 
     # (a) text-only overfit, 2000 steps
-    text_trainer = training.Trainer(cfg, seed=0)
-    text_sources = training.DataSources(text_stream=data.TokenStream(ids.copy()))
-    text_stage = training.StageConfig(seq_len=128, total_steps=2000, micro_batch=2,
-                                      text_prob=1.0, log_every=10 ** 9)
-    text_trainer.run_stage(text_stage, text_sources, Schedule(total_steps=2000))
-    text_ce = corpus_ce(text_trainer.params, cfg, ids)
+    text_trainer = desk.run(cfg, ids, 2000, text_prob=1.0, seed=0)
+    text_ce = desk.corpus_ce(text_trainer.params, cfg, ids)
 
     # (b) ts-only on synthetic kernels, 2000 steps
-    ts_trainer = training.Trainer(cfg, seed=0)
-    ts_sources = training.DataSources(ts_source=training.synthetic_ts_source(160))
-    ts_stage = training.StageConfig(seq_len=128, total_steps=2000, micro_batch=2,
-                                    text_prob=0.0, log_every=10 ** 9)
-    ts_trainer.run_stage(ts_stage, ts_sources, Schedule(total_steps=2000))
-    ts_mase, ts_wql_ratio, ts_wql = ts_eval(ts_trainer.params, cfg)
+    ts_trainer = desk.run(cfg, ids, 2000, text_prob=0.0, seed=0)
+    ts_mase, ts_wql_ratio, ts_wql = ts_eval(desk, ts_trainer.params, cfg)
 
     # (c) joint 92/8 over both sources; the larger budget gives the TS stream
     # a saturating ~800 steps at its 8% share
-    joint_trainer = training.Trainer(cfg, seed=0)
-    joint_sources = training.DataSources(
-        text_stream=data.TokenStream(ids.copy()),
-        ts_source=training.synthetic_ts_source(160))
-    joint_stage = training.StageConfig(seq_len=128, total_steps=10000, micro_batch=2,
-                                       text_prob=0.92, log_every=10 ** 9)
-    joint_trainer.run_stage(joint_stage, joint_sources, Schedule(total_steps=10000))
-    joint_ce = corpus_ce(joint_trainer.params, cfg, ids)
-    joint_mase, joint_wql_ratio, joint_wql = ts_eval(joint_trainer.params, cfg)
+    joint_trainer = desk.run(cfg, ids, 10000, text_prob=0.92, seed=0)
+    joint_ce = desk.corpus_ce(joint_trainer.params, cfg, ids)
+    joint_mase, joint_wql_ratio, joint_wql = ts_eval(desk, joint_trainer.params, cfg)
 
     return {
         "elapsed": time.monotonic() - start,
-        "zero_wql": zero_model_wql(cfg),
+        "zero_wql": ts_eval(desk, M.init_params(cfg, seed=desk.ZERO_MODEL_SEED), cfg)[2],
         "text_ce": text_ce,
         "ts_mase": ts_mase, "ts_wql_ratio": ts_wql_ratio, "ts_wql": ts_wql,
         "joint_ce": joint_ce,

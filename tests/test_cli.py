@@ -472,6 +472,32 @@ def test_malformed_jsonl_never_escapes_a_command(every_input, data):
 FORECAST_MODEL = dataclasses.replace(TINY, vocab_size=262)
 
 
+def _warm_forecast_checkpoint():
+    """warm.ckpt: FORECAST_MODEL with its zero-initialised matrices filled."""
+    if os.path.exists("warm.ckpt"):
+        return
+    params = M.init_params(FORECAST_MODEL, seed=1)
+    rng = np.random.default_rng(1)
+    for p in params.values():
+        if p.data.ndim == 2 and not p.data.any():
+            p.data[:] = rng.normal(0, 0.3, size=p.shape)
+    tensors = {f"param.{k}": v for k, v in checkpoint.params_to_tensors(params).items()}
+    checkpoint.save_checkpoint("warm.ckpt", FORECAST_MODEL, tensors)
+
+
+@pytest.mark.parametrize("horizon,code", [(36, 0), (37, 2)])
+def test_forecast_needing_exactly_max_seq_positions_runs(inputs, horizon, code):
+    """A 2-channel context of 24 patches: H = 36 generates 9 patches and feeds
+    back 8, 32 = max_seq positions in all, so it runs; H = 37 needs 33."""
+    _warm_forecast_checkpoint()
+    P = FORECAST_MODEL.patch_len
+    values = np.random.default_rng(2).normal(size=(2, 24 * P))
+    codec.write_jsonl("fc_in.jsonl", [codec.series_to_record(codec.RawSeries(values))])
+    assert run("forecast", "--ckpt", "warm.ckpt", "--input", "fc_in.jsonl",
+               "--horizon", str(horizon), "--out", "fc_out.jsonl") == code
+    assert os.path.exists("fc_out.jsonl") == (code == 0)
+
+
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
@@ -480,14 +506,7 @@ def test_forecast_fits_max_seq_or_exits_2(inputs, data):
     when text, context and horizon patches overflow max_seq, and otherwise exits 0
     with one record of sorted [H, Q] quantiles per channel.  The KV cache's
     CacheError, which dispatch does not map, is never reached."""
-    if not os.path.exists("warm.ckpt"):
-        params = M.init_params(FORECAST_MODEL, seed=1)
-        rng = np.random.default_rng(1)
-        for p in params.values():
-            if p.data.ndim == 2 and not p.data.any():
-                p.data[:] = rng.normal(0, 0.3, size=p.shape)
-        tensors = {f"param.{k}": v for k, v in checkpoint.params_to_tensors(params).items()}
-        checkpoint.save_checkpoint("warm.ckpt", FORECAST_MODEL, tensors)
+    _warm_forecast_checkpoint()
     P = FORECAST_MODEL.patch_len
     horizon = data.draw(st.integers(0, 40), label="horizon")
     shapes = data.draw(st.lists(st.tuples(st.integers(1, 3), st.integers(1, 100)),
@@ -508,7 +527,8 @@ def test_forecast_fits_max_seq_or_exits_2(inputs, data):
         (inputs / "prefix.txt").write_bytes(text)
         argv += ["--text", "prefix.txt", "--vocab", "v.json"]
         n_text = len(bpe.encode(text, bpe.load_vocab("v.json"))) + 1  # and <|ts_begin|>
-    need = max(n_text + -(-length // P) + -(-horizon // P) for _, length in shapes)
+    # the last generated patch is never fed back into the model
+    need = max(n_text + -(-length // P) + -(-horizon // P) - 1 for _, length in shapes)
     fits = horizon >= 1 and need <= FORECAST_MODEL.max_seq
     event("fits" if fits else "exit 2")
     if os.path.exists("fc_out.jsonl"):

@@ -2,11 +2,15 @@
 
 The oracles below are generic-op chains: tied matmul -> soft cap ->
 log-softmax -> gather for the vocab head, repeated K/V -> scaled scores ->
-causal mask -> softmax -> weighted values for attention, and one
-[hd, hd] matrix of 2x2 rotation blocks per position for RoPE.
+causal mask -> softmax -> weighted values for attention, one [hd, hd]
+matrix of 2x2 rotation blocks per position for RoPE, and three matmuls
+around a tanh-form sigmoid for the SwiGLU MLP.
 """
 
+import gc
 import math
+import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -54,6 +58,13 @@ def rope_oracle(x, cos, sin):
     rows = T.reshape(T.transpose(x, (2, 0, 1, 3)), (S, B * H, hd))
     turned = T.reshape(T.matmul(rows, Tensor(rot)), (S, B, H, hd))
     return T.transpose(turned, (1, 2, 0, 3))
+
+
+def swiglu_oracle(x, w1, w2, w3):
+    """(h1 * sigmoid(h1) * (x @ w2)) @ w3, h1 = x @ w1, sigmoid(z) = (1 + tanh(z / 2)) / 2."""
+    h1 = T.matmul(x, w1)
+    sig = T.add_const(T.mul_const(T.tanh(T.mul_const(h1, 0.5)), 0.5), 0.5)
+    return T.matmul(T.mul(T.mul(h1, sig), T.matmul(x, w2)), w3)
 
 
 def leaf_grads(loss, leaves):
@@ -303,3 +314,154 @@ def test_rope_rejects_bad_tables():
         T.rope(x, cos, np.zeros((3, 3)))             # hd/2 + 1 angles per position
     with pytest.raises(DimensionError):
         T.rope(Tensor(np.ones((1, 1, 3, 3))), cos[:, :1], sin[:, :1])   # odd head dim
+
+
+# ---------------------------------------------------------------------
+# swiglu_mlp
+# ---------------------------------------------------------------------
+
+# (N, d, H, d_out): one row, odd row counts, odd hidden and output sizes
+SWIGLU_CASES = [(1, 4, 6, 4), (7, 5, 9, 5), (5, 3, 7, 2)]
+
+
+def swiglu_case(seed, N, d, H, d_out):
+    rng = np.random.default_rng(seed)
+    x = t64(rng.normal(size=(N, d)))
+    w1, w2 = t64(rng.normal(size=(d, H))), t64(rng.normal(size=(d, H)))
+    w3 = t64(rng.normal(size=(H, d_out)))
+    probe = Tensor(rng.normal(size=(N, d_out)))
+    return x, w1, w2, w3, probe
+
+
+@pytest.mark.parametrize("N,d,H,d_out", SWIGLU_CASES)
+def test_swiglu_matches_oracle(N, d, H, d_out):
+    x, w1, w2, w3, probe = swiglu_case(30, N, d, H, d_out)
+    fused = T.swiglu_mlp(x, w1, w2, w3)
+    oracle = swiglu_oracle(x, w1, w2, w3)
+    assert np.abs(fused.data - oracle.data).max() <= 1e-12
+    leaves = [x, w1, w2, w3]
+    got = leaf_grads(T.tsum(T.mul(fused, probe)), leaves)
+    want = leaf_grads(T.tsum(T.mul(oracle, probe)), leaves)
+    for a, b in zip(got, want):
+        assert np.abs(a - b).max() <= 1e-12
+
+
+@pytest.mark.parametrize("N,d,H,d_out", SWIGLU_CASES)
+def test_swiglu_grad_check(N, d, H, d_out):
+    x, w1, w2, w3, probe = swiglu_case(31, N, d, H, d_out)
+    assert_fd(lambda: T.tsum(T.mul(T.swiglu_mlp(x, w1, w2, w3), probe)),
+              [("x", x), ("w1", w1), ("w2", w2), ("w3", w3)])
+
+
+def test_swiglu_backward_twice_accumulates_exactly_double():
+    x, w1, w2, w3, probe = swiglu_case(32, 5, 4, 6, 4)
+    loss = T.tsum(T.mul(T.swiglu_mlp(x, w1, w2, w3), probe))
+    loss.backward()
+    once = [t.grad.copy() for t in (x, w1, w2, w3)]
+    loss.backward()
+    for t, g in zip((x, w1, w2, w3), once):
+        assert np.array_equal(t.grad, 2.0 * g)
+
+
+def test_swiglu_second_backward_sees_fresh_gradient():
+    x, w1, w2, w3, probe = swiglu_case(33, 3, 4, 6, 4)
+    other = Tensor(np.random.default_rng(34).normal(size=probe.shape))
+    leaves = [x, w1, w2, w3]
+    out = T.swiglu_mlp(x, w1, w2, w3)
+    first = leaf_grads(T.tsum(T.mul(out, probe)), leaves)
+    second = leaf_grads(T.tsum(T.mul(out, other)), leaves)
+    want = leaf_grads(T.tsum(T.mul(swiglu_oracle(x, w1, w2, w3), other)), leaves)
+    for a, b, c in zip(second, want, first):
+        assert np.abs(a - b).max() <= 1e-12
+        assert not np.allclose(a, c)
+
+
+def test_swiglu_no_grad_builds_no_graph():
+    x, w1, w2, w3, _ = swiglu_case(35, 4, 4, 6, 4)
+    with T.no_grad():
+        out = T.swiglu_mlp(x, w1, w2, w3)
+    assert not out.requires_grad and out._rules == ()
+    assert np.abs(out.data - swiglu_oracle(x, w1, w2, w3).data).max() <= 1e-12
+
+
+def test_swiglu_rejects_bad_shapes():
+    x, w1, w2, w3, _ = swiglu_case(36, 3, 4, 6, 4)
+    with pytest.raises(DimensionError):
+        T.swiglu_mlp(T.reshape(x, (1, 3, 4)), w1, w2, w3)       # rows must be 2-D
+    with pytest.raises(DimensionError):
+        T.swiglu_mlp(x, w1, Tensor(w2.data[:, :5]), w3)         # w1 and w2 differ
+    with pytest.raises(DimensionError):
+        T.swiglu_mlp(x, w1, w2, Tensor(w3.data[:5]))            # hidden size vs w3
+    with pytest.raises(DimensionError):
+        T.swiglu_mlp(x, T.transpose(w1, (1, 0)), w2, w3)        # inner extents
+
+
+def test_swiglu_extreme_preactivations_stay_finite_float32():
+    # x @ w1 holds +-100 (and +-0.5); the two-branch sigmoid never overflows
+    x = Tensor(np.array([[1.0], [-1.0]], dtype=np.float32), requires_grad=True)
+    w1 = Tensor(np.array([[100.0, -100.0, 0.5]], dtype=np.float32), requires_grad=True)
+    w2 = Tensor(np.ones((1, 3), dtype=np.float32), requires_grad=True)
+    w3 = Tensor(np.ones((3, 2), dtype=np.float32), requires_grad=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = T.swiglu_mlp(x, w1, w2, w3)
+        T.tsum(out).backward()
+    assert out.data.dtype == np.float32 and np.isfinite(out.data).all()
+    for t in (x, w1, w2, w3):
+        assert t.grad.dtype == np.float32 and np.isfinite(t.grad).all()
+    # row 0: silu(100) + silu(-100) + silu(0.5) with silu(100) = 100, silu(-100) ~ 0
+    assert out.data[0, 0] == pytest.approx(100.0 + 0.5 / (1 + math.exp(-0.5)), rel=1e-6)
+
+
+def test_joint_node_computes_all_gradients_once_per_backward():
+    a, b, c = t64([1.0, 2.0]), t64([3.0, 4.0]), t64([5.0, 6.0], grad=False)
+    made = []
+
+    def grads(g):
+        out = g * 2.0, g * 3.0, g * 4.0
+        made.extend(weakref.ref(d) for d in (g,) + out)
+        return out
+
+    loss = T.tsum(T._make_joint(a.data + b.data + c.data, (a, b, c), grads))
+    loss.backward()
+    loss.backward()
+    gc.collect()
+    assert len(made) == 8                       # one grads call per backward()
+    assert np.array_equal(a.grad, [4.0, 4.0]) and np.array_equal(b.grad, [6.0, 6.0])
+    assert c.grad is None
+    # the graph is alive, yet it holds no gradient of either call
+    assert all(ref() is None for ref in made)
+
+
+def test_joint_node_recomputes_after_an_interrupted_backward():
+    a, b = t64([1.0, 2.0]), t64([3.0, 4.0])
+    out = T._make_joint(a.data * b.data, (a, b), lambda g: (g * b.data, g * a.data))
+    # a second path hands a a wrongly shaped gradient, so the first sweep
+    # fails after the joint node gave out a's share and before b's
+    broken = T._make(out.data.copy(), [(a, lambda g: np.ones(3))])
+    with pytest.raises(ValueError):
+        T.tsum(T.add(broken, out)).backward()
+    probe = Tensor(np.array([10.0, 100.0]))
+    a.grad = b.grad = None
+    T.tsum(T.mul(out, probe)).backward()
+    assert np.array_equal(b.grad, probe.data * a.data)
+
+
+def test_block_forward_builds_one_swiglu_node_per_layer():
+    cfg = M.ModelConfig(n_layers=2, d_model=8, n_q_heads=2, n_kv_heads=1, head_dim=4,
+                        patch_len=2, n_quantiles=3, vocab_size=32, max_seq=16)
+    params = M.init_params(cfg, seed=37, dtype=np.float64)
+    hidden = M.forward_hidden(params, cfg, M.Inputs(np.array([[1, 5, 9, 2, 7]])))
+    nodes, stack = {}, [hidden]
+    while stack:
+        node = stack.pop()
+        if id(node) not in nodes:
+            nodes[id(node)] = node
+            stack.extend(parent for parent, _ in node._rules)
+    for layer in range(cfg.n_layers):
+        weights = [params[f"blocks.{layer}.{name}"] for name in ("w1", "w2", "w3")]
+        users = [node for node in nodes.values()
+                 if any(parent is w for parent, _ in node._rules for w in weights)]
+        assert len(users) == 1
+        parents = [parent for parent, _ in users[0]._rules]
+        assert len(parents) == 4 and all(p is w for p, w in zip(parents[1:], weights))

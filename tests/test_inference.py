@@ -192,10 +192,14 @@ def test_forecast_series_incremental_equals_full_recompute():
 
 
 def test_forecast_respects_max_seq():
+    # 7 context patches plus 2 generated ones, of which only the first is fed
+    # back: 8 positions fit max_seq 8; a third generated patch does not
     cfg = tiny_config(max_seq=8)
     params = M.init_params(cfg, seed=0)
+    fits = inference.forecast_values(params, cfg, np.arange(28.0), horizon=8)
+    assert fits.quantiles.shape[0] == 8
     with pytest.raises(ConfigError):
-        inference.forecast_values(params, cfg, np.arange(28.0), horizon=8)
+        inference.forecast_values(params, cfg, np.arange(28.0), horizon=9)
 
 
 # -- embeddings --------------------------------------------------------------

@@ -65,7 +65,16 @@ def test_grad_check_quadratic():
     assert report.n_checked == 2
 
 
-@pytest.mark.parametrize("op", [T.tanh, T.silu, T.texp])
+_MLP_W = [T.Tensor(np.random.default_rng(4).normal(size=shape) * 0.5)
+          for shape in ((5, 6), (5, 6), (6, 5))]
+
+
+def swiglu(x):
+    """x -> swiglu_mlp(x, w1, w2, w3) with fixed constant weights."""
+    return T.swiglu_mlp(x, *_MLP_W)
+
+
+@pytest.mark.parametrize("op", [T.tanh, swiglu, T.texp])
 def test_unary_op_gradients(op):
     rng = np.random.default_rng(3)
     x = t64(rng.normal(size=(3, 5)) * 0.7)
@@ -141,7 +150,7 @@ def test_forward_deterministic_bit_identical():
     w = rng.normal(size=(16, 16)).astype(np.float32)
 
     def run():
-        return T.matmul(T.silu(T.Tensor(arr)), T.Tensor(w)).data
+        return T.swiglu_mlp(T.Tensor(arr), T.Tensor(w), T.Tensor(w.T), T.Tensor(w)).data
 
     a, b = run(), run()
     assert a.tobytes() == b.tobytes()
@@ -183,11 +192,13 @@ def test_random_composite_graphs_match_fd(seed, m, n):
     a = t64(rng.normal(size=(m, n)) * 0.5)
     b = t64(rng.normal(size=(n, m)) * 0.5)
     scale = t64(rng.normal(size=m) * 0.2 + 1.0)
+    w1, w2 = (t64(rng.normal(size=(m, n)) * 0.5, grad=False) for _ in range(2))
+    w3 = t64(rng.normal(size=(n, m)) * 0.5, grad=False)
 
     def loss():
         h = T.matmul(a, b)
         h = T.rmsnorm(h, scale)
-        h = T.silu(h)
+        h = T.swiglu_mlp(h, w1, w2, w3)
         return T.mul_const(T.tsum(T.mul(h, h)), 1.0 / (m * m))
 
     fd_check(loss, [("a", a), ("b", b), ("scale", scale)], tol=1e-5, h=1e-6)
