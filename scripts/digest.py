@@ -10,7 +10,10 @@ The map covers:
   align 0.3) and all-aligned;
 - forecasts with and without a text prefix, of univariate contexts and of
   2- and 3-channel gappy series, and embeddings of series, text and both at
-  repeat 1-3;
+  repeat 1-3: once with the interleaved S=16 run's trained parameters and
+  once (``fixed.*``) with fixed ones, ``init_params`` at a fixed seed with
+  its zero-initialised matrices filled from a seeded rng, so that a change
+  to the training bits alone leaves the ``fixed.*`` digests as they are;
 - ``codec.patchify`` features, as [C*n, 4P] rows: one channel that fits
   whole patches, a padded last patch, interior NaNs, three gappy channels,
   P = 1, P > L, and explicit stats on a front-NaN-padded context.
@@ -136,7 +139,16 @@ def training_digests(vocab: bpe.BpeVocab, out: dict) -> dict:
     return trained
 
 
-def inference_digests(params: dict, out: dict) -> None:
+def fixed_params() -> dict:
+    params = M.init_params(CONFIG, seed=17)
+    rng = np.random.default_rng(17)
+    for name in sorted(params):
+        if name.rsplit(".", 1)[-1] in ("wo", "w3", "quantile_head"):  # zero at init
+            params[name].data[:] = rng.normal(0, 0.3, size=params[name].shape)
+    return params
+
+
+def inference_digests(params: dict, out: dict, prefix: str = "") -> None:
     rng = np.random.default_rng(11)
     contexts = [rng.normal(size=n).cumsum() for n in (13, 20, 37)]
     contexts[1][[2, 5, 6]] = np.nan
@@ -144,20 +156,20 @@ def inference_digests(params: dict, out: dict) -> None:
         for horizon in (3, 9):
             for text_ids in ((), (3, 1, 7)):
                 result = inference.forecast_values(params, CONFIG, values, horizon, text_ids)
-                out[f"forecast.{i}.h{horizon}.text{len(text_ids)}"] = digest(
+                out[f"{prefix}forecast.{i}.h{horizon}.text{len(text_ids)}"] = digest(
                     result.quantiles, result.median)
     series = gappy_series(rng, 2, 11)
     for repeat in (1, 2, 3):
         for text_ids in ((), (5, 9, 2, 8)):
             emb = inference.extract_embedding(params, CONFIG, series, text_ids, repeat)
-            out[f"embed.r{repeat}.text{len(text_ids)}"] = digest(emb)
-    out["embed.text_only"] = digest(inference.extract_embedding(params, CONFIG,
-                                                                text_ids=(4, 2, 9)))
+            out[f"{prefix}embed.r{repeat}.text{len(text_ids)}"] = digest(emb)
+    out[f"{prefix}embed.text_only"] = digest(
+        inference.extract_embedding(params, CONFIG, text_ids=(4, 2, 9)))
     for channels in (2, 3):
         series = gappy_series(rng, channels, 18)
         for text_ids in ((), (3, 1, 7)):
             results = inference.forecast_series(params, CONFIG, series, 9, text_ids)
-            out[f"forecast.multi.c{channels}.text{len(text_ids)}"] = digest(
+            out[f"{prefix}forecast.multi.c{channels}.text{len(text_ids)}"] = digest(
                 *(a for r in results for a in (r.quantiles, r.median)))
 
 
@@ -168,6 +180,7 @@ def main() -> None:
     batch_digests(vocab, out)
     trained = training_digests(vocab, out)
     inference_digests(trained["interleaved", 16], out)
+    inference_digests(fixed_params(), out, prefix="fixed.")
     print(json.dumps(out, indent=1, sort_keys=True))
 
 

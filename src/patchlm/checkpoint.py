@@ -9,6 +9,7 @@ state, anything JSON-serializable).  Roundtrips are bit-exact.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import math
@@ -34,6 +35,10 @@ def _dtype_tag(dtype: np.dtype) -> str:
 
 def save_checkpoint(path: str, config: ModelConfig, tensors: dict[str, np.ndarray],
                     extra: dict[str, Any] | None = None) -> None:
+    """Write the checkpoint to a temporary file next to ``path``, then move it
+    into place, so a process that dies mid-write leaves any earlier file at
+    ``path`` whole.  Nothing is synced to disk: this guards against a crash
+    of the process, not a power loss."""
     directory = {}
     offset = 0
     payloads = []
@@ -52,11 +57,18 @@ def save_checkpoint(path: str, config: ModelConfig, tensors: dict[str, np.ndarra
         "extra": extra or {},
     }
     blob = json.dumps(manifest).encode()
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<Q", len(blob)))
-        fh.write(blob)
-        for raw in payloads:
-            fh.write(raw)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(struct.pack("<Q", len(blob)))
+            fh.write(blob)
+            for raw in payloads:
+                fh.write(raw)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 def _is_count(value) -> bool:

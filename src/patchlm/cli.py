@@ -17,6 +17,7 @@ hash covers every parsed flag but --out, --json and --pretty.  A flag of
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -102,9 +103,11 @@ def cmd_tokenize_encode(args) -> tuple[list[str], dict]:
 
 def cmd_tokenize_decode(args) -> tuple[list[str], dict]:
     vocab = bpe.load_vocab(args.vocab)
-    with open(args.input) as fh:
+    with open(args.input, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{args.input}: not UTF-8 ({exc})") from exc
         except json.JSONDecodeError as exc:
             raise DataError(f"{args.input}: invalid JSON") from exc
     if not isinstance(doc, dict):
@@ -303,7 +306,7 @@ def cmd_eval_forecast(args) -> tuple[list[str], dict]:
         raise DataError(f"{args.truth}: no records")
     report = metrics.evaluate_forecast_tasks(tasks)
     with open(args.out, "w") as fh:
-        json.dump(report.to_dict(), fh, indent=2)
+        json.dump(dataclasses.asdict(report), fh, indent=2)
     return [args.out], {"geomean_mase_ratio": report.geomean_mase_ratio,
                         "geomean_wql_ratio": report.geomean_wql_ratio,
                         "n_tasks": len(report.per_task), "n_skipped": len(report.skipped)}

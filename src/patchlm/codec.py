@@ -85,23 +85,15 @@ def compute_visible_stats(series: RawSeries) -> NormStats:
 
 
 def normalize(values: np.ndarray, stats: NormStats) -> np.ndarray:
-    """arcsinh((x - mu) / sigma); NaN passes through."""
+    """arcsinh((x - mu) / sigma) of [C, L] values; NaN passes through."""
     values = np.asarray(values, dtype=np.float64)
-    squeeze = values.ndim == 1
-    if squeeze:
-        values = values[None, :]
-    out = np.arcsinh((values - stats.mu[:, None]) / stats.sigma[:, None])
-    return out[0] if squeeze else out
+    return np.arcsinh((values - stats.mu[:, None]) / stats.sigma[:, None])
 
 
 def denormalize(normed: np.ndarray, stats: NormStats) -> np.ndarray:
-    """Exact inverse: sinh(q) * sigma + mu."""
+    """Exact inverse of [C, L] values: sinh(q) * sigma + mu."""
     normed = np.asarray(normed, dtype=np.float64)
-    squeeze = normed.ndim == 1
-    if squeeze:
-        normed = normed[None, :]
-    out = np.sinh(normed) * stats.sigma[:, None] + stats.mu[:, None]
-    return out[0] if squeeze else out
+    return np.sinh(normed) * stats.sigma[:, None] + stats.mu[:, None]
 
 
 def extend_time_ramp(length: int, start: int, count: int) -> np.ndarray:
@@ -195,17 +187,21 @@ def series_to_record(series: RawSeries) -> dict:
 
 def read_jsonl(path: str, convert: Optional[Callable[[dict], Any]] = None) -> Iterator:
     """The JSON object on each non-blank line of ``path``, passed through
-    ``convert`` when given; a line that is not a JSON object, or that
-    ``convert`` rejects with a DataError, is a DataError naming file:line."""
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
+    ``convert`` when given; a line that is not UTF-8 or not a JSON object,
+    or that ``convert`` rejects with a DataError, is a DataError naming
+    file:line."""
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, 1):
             try:
+                line = raw.decode("utf-8")
+                if not line.strip():
+                    continue
                 record = json.loads(line)
                 if not isinstance(record, dict):
                     raise DataError("expected a JSON object")
                 item = convert(record) if convert else record
+            except UnicodeDecodeError as exc:
+                raise DataError(f"{path}:{lineno}: not UTF-8 ({exc})") from exc
             except json.JSONDecodeError as exc:
                 raise DataError(f"{path}:{lineno}: invalid JSON ({exc})") from exc
             except DataError as exc:

@@ -1,10 +1,11 @@
-"""Run configuration: a small TOML-style parser, run configs, run identity.
+"""Run configuration: run configs read with ``tomllib``, run identity.
 
-The config file uses plain ``[section]`` headers with ``key = value``
-lines (ints, floats, booleans, quoted strings, and flat lists); that
-subset is all the train pipeline needs.  Sections: [model], [stage1],
-optional [stage2], [data]; a repeated section or key is a ConfigError,
-and so is a value whose type does not fit its field's annotation (an int
+The config file is TOML, read by the standard library's ``tomllib``.  Its
+top level holds the tables [model], [stage1], optional [stage2] and [data]
+and nothing else: any other top-level name, such as a misspelled table or a
+key outside a table, is a ConfigError naming it.  So is a file that is not
+UTF-8 or not valid TOML (a repeated key or table among them, with its
+line), and a value whose type does not fit its field's annotation (an int
 field takes an int but not a bool, a float field an int or a float) or
 that the config's own checks reject, with the section and key named.
 
@@ -20,6 +21,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import tomllib
 import typing
 from dataclasses import dataclass, field
 from typing import Any, Optional
@@ -28,54 +30,6 @@ from . import __version__
 from .errors import ConfigError
 from .model import ModelConfig
 from .training import StageConfig
-
-
-def _parse_scalar(raw: str, where: str):
-    raw = raw.strip()
-    if not raw:
-        raise ConfigError(f"{where}: empty value")
-    if raw.startswith('"') and raw.endswith('"') and len(raw) >= 2:
-        return raw[1:-1]
-    if raw in ("true", "false"):
-        return raw == "true"
-    if raw.startswith("[") and raw.endswith("]"):
-        inner = raw[1:-1].strip()
-        if not inner:
-            return []
-        return [_parse_scalar(part, where) for part in inner.split(",")]
-    try:
-        if any(c in raw for c in ".eE") and not raw.lstrip("+-").isdigit():
-            return float(raw)
-        return int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"{where}: cannot parse value {raw!r}") from exc
-
-
-def parse_toml_like(text: str) -> dict[str, dict[str, Any]]:
-    sections: dict[str, dict[str, Any]] = {}
-    current: Optional[str] = None
-    for lineno, line in enumerate(text.splitlines(), 1):
-        stripped = line.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        if stripped.startswith("[") and stripped.endswith("]"):
-            current = stripped[1:-1].strip()
-            if not current:
-                raise ConfigError(f"line {lineno}: empty section name")
-            if current in sections:
-                raise ConfigError(f"line {lineno}: section [{current}] repeated")
-            sections[current] = {}
-            continue
-        if "=" not in stripped:
-            raise ConfigError(f"line {lineno}: expected key = value")
-        if current is None:
-            raise ConfigError(f"line {lineno}: key outside any [section]")
-        key, raw = stripped.split("=", 1)
-        key = key.strip()
-        if key in sections[current]:
-            raise ConfigError(f"line {lineno}: key {key!r} repeated in [{current}]")
-        sections[current][key] = _parse_scalar(raw, f"line {lineno}")
-    return sections
 
 
 class InputPath(str):
@@ -137,10 +91,16 @@ def _build(cls, section: dict, where: str):
 
 def load_run_config(path: str) -> RunConfig:
     try:
-        with open(path) as fh:
-            sections = parse_toml_like(fh.read())
+        with open(path, "rb") as fh:
+            sections = tomllib.load(fh)
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
+    except (tomllib.TOMLDecodeError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+    for name, value in sections.items():
+        if name not in ("model", "stage1", "stage2", "data") or not isinstance(value, dict):
+            raise ConfigError(f"{path}: top-level {name!r} is not a [model], [stage1], "
+                              "[stage2] or [data] table")
     if "model" not in sections or "stage1" not in sections:
         raise ConfigError("config needs [model] and [stage1] sections")
     data_section = dict(sections.get("data", {}))

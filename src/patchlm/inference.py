@@ -201,14 +201,19 @@ def _adam_train(param_list, grads_fn, n_rows, epochs, lr, batch_size, seed):
                 optim.adamw_step(p.data, p.grad, st["m"], st["v"], t, lr=lr)
 
 
-class LinearProbe:
-    """Single linear layer trained with softmax cross-entropy."""
+class Head:
+    """A trained classifier head: its weight matrices, applied in turn with
+    ReLU between them.  One [D, K] matrix is a linear probe; [D, H] and
+    [H, K] are the MLP head (its dropout acts during training only)."""
 
-    def __init__(self, weight: np.ndarray):
-        self.weight = weight  # [D, K]
+    def __init__(self, *weights: np.ndarray):
+        self.weights = weights
 
     def scores(self, embeddings: np.ndarray) -> np.ndarray:
-        return np.asarray(embeddings, dtype=np.float64) @ self.weight
+        h = np.asarray(embeddings, dtype=np.float64) @ self.weights[0]
+        for w in self.weights[1:]:
+            h = np.maximum(h, 0.0) @ w
+        return h
 
     def predict(self, embeddings: np.ndarray) -> np.ndarray:
         return self.scores(embeddings).argmax(axis=1)
@@ -216,7 +221,7 @@ class LinearProbe:
 
 def train_linear_probe(embeddings: np.ndarray, labels: np.ndarray, n_classes: int, *,
                        epochs: int = 200, seed: int = 0,
-                       class_balanced: bool = False) -> LinearProbe:
+                       class_balanced: bool = False) -> Head:
     embeddings, labels, weights = _head_inputs(embeddings, labels, n_classes, class_balanced)
     w = Tensor(np.zeros((embeddings.shape[1], n_classes)), requires_grad=True)
 
@@ -225,26 +230,11 @@ def train_linear_probe(embeddings: np.ndarray, labels: np.ndarray, n_classes: in
         return _weighted_ce(logits, labels[idx], weights)
 
     _adam_train([w], loss_on, len(labels), epochs, PROBE_LR, PROBE_BATCH, seed)
-    return LinearProbe(w.data.copy())
-
-
-class MlpHead:
-    """Two-layer MLP head (relu hidden, dropout during training only)."""
-
-    def __init__(self, w1: np.ndarray, w2: np.ndarray):
-        self.w1 = w1
-        self.w2 = w2
-
-    def scores(self, embeddings: np.ndarray) -> np.ndarray:
-        h = np.maximum(np.asarray(embeddings, dtype=np.float64) @ self.w1, 0.0)
-        return h @ self.w2
-
-    def predict(self, embeddings: np.ndarray) -> np.ndarray:
-        return self.scores(embeddings).argmax(axis=1)
+    return Head(w.data.copy())
 
 
 def train_mlp_head(embeddings: np.ndarray, labels: np.ndarray, n_classes: int, *,
-                   epochs: int = 100, seed: int = 0, class_balanced: bool = True) -> MlpHead:
+                   epochs: int = 100, seed: int = 0, class_balanced: bool = True) -> Head:
     embeddings, labels, weights = _head_inputs(embeddings, labels, n_classes, class_balanced)
     d = embeddings.shape[1]
     init_rng = np.random.default_rng(seed)
@@ -261,4 +251,4 @@ def train_mlp_head(embeddings: np.ndarray, labels: np.ndarray, n_classes: int, *
         return _weighted_ce(logits, labels[idx], weights)
 
     _adam_train([w1, w2], loss_on, len(labels), epochs, MLP_LR, MLP_BATCH, seed)
-    return MlpHead(w1.data.copy(), w2.data.copy())
+    return Head(w1.data.copy(), w2.data.copy())

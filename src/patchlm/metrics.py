@@ -163,14 +163,6 @@ class MetricReport:
     geomean_mase_ratio: float = float("nan")
     geomean_wql_ratio: float = float("nan")
 
-    def to_dict(self) -> dict:
-        return {
-            "per_task": self.per_task,
-            "skipped": self.skipped,
-            "geomean_mase_ratio": self.geomean_mase_ratio,
-            "geomean_wql_ratio": self.geomean_wql_ratio,
-        }
-
 
 def evaluate_forecast_tasks(tasks: list[ForecastTask]) -> MetricReport:
     """Standardize each task by its seasonal-naive baseline, then geomean."""

@@ -102,7 +102,7 @@ def test_criterion_2_normalization_roundtrip():
             x = rng.normal(rng.uniform(-100, 100), rng.uniform(0.01, 50), length)
             series = codec.RawSeries(x)
             stats = codec.compute_visible_stats(series)
-            back = codec.denormalize(codec.normalize(x, stats), stats)
+            back = codec.denormalize(codec.normalize(x[None], stats), stats)[0]
             assert np.allclose(back, x, rtol=1e-6, atol=1e-9)
 
             clean_stats = codec.compute_visible_stats(codec.RawSeries(x))

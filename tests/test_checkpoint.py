@@ -1,5 +1,7 @@
 import dataclasses
+import io
 import json
+import os
 import struct
 
 import numpy as np
@@ -69,6 +71,28 @@ def test_unsupported_dtype_rejected(tmp_path):
 
 TINY = M.ModelConfig(n_layers=1, d_model=16, n_q_heads=2, n_kv_heads=1,
                      head_dim=8, patch_len=4, n_quantiles=5, vocab_size=32, max_seq=16)
+
+
+class _TornFile(io.FileIO):
+    """A file whose every write stores half its bytes, then fails."""
+
+    def write(self, b):
+        super().write(bytes(b)[:len(b) // 2])
+        raise OSError("write failed")
+
+
+def test_failed_save_leaves_the_earlier_checkpoint_whole(tmp_path, monkeypatch):
+    path = str(tmp_path / "m.ckpt")
+    C.save_checkpoint(path, TINY, {"x": np.arange(64, dtype=np.float32)}, {"step": 1})
+    before = open(path, "rb").read()
+    monkeypatch.setattr(C, "open", _TornFile, raising=False)
+    with pytest.raises(OSError, match="write failed"):
+        C.save_checkpoint(path, TINY, {"x": np.zeros(64, dtype=np.float32)}, {"step": 2})
+    monkeypatch.undo()
+    assert open(path, "rb").read() == before
+    _, tensors, extra = C.load_checkpoint(path)
+    assert tensors["x"].tolist() == list(range(64)) and extra == {"step": 1}
+    assert os.listdir(tmp_path) == ["m.ckpt"]
 
 
 def _write_raw(path, manifest: bytes, payload: bytes = b""):

@@ -278,9 +278,10 @@ def test_vocab_not_json_exit_3(inputs):
                "--out", "o.json") == 3
 
 
-@pytest.mark.parametrize("text", ["{not json", "[1, 2]", '{"ids": [1, "x"]}', '{"ids": 5}'])
-def test_malformed_ids_file_exit_3(inputs, text):
-    (inputs / "ids.json").write_text(text)
+@pytest.mark.parametrize("raw", [b"{not json", b"[1, 2]", b'{"ids": [1, "x"]}', b'{"ids": 5}',
+                                 b'\xff{"ids": [1]}'])
+def test_malformed_ids_file_exit_3(inputs, raw):
+    (inputs / "ids.json").write_bytes(raw)
     assert run("tokenize", "decode", "--vocab", "v.json", "--input", "ids.json",
                "--out", "o.txt") == 3
 
@@ -442,8 +443,8 @@ FUZZ_VALUES = st.sampled_from(["x", "", True, False, None, [], [[]], [[1.0, 2.0]
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_malformed_jsonl_never_escapes_a_command(every_input, data):
-    """Dropped keys, values of the wrong type and cut lines in any JSONL input end
-    in an exit code, never a traceback."""
+    """Dropped keys, values of the wrong type, cut lines and bytes that are not
+    UTF-8 in any JSONL input end in an exit code, never a traceback."""
     argv, files = data.draw(st.sampled_from(FUZZ_RUNS), label="command")
     target = data.draw(st.sampled_from(files), label="file")
     records = [json.loads(line) for line in (every_input / target).read_text().splitlines()]
@@ -464,9 +465,35 @@ def test_malformed_jsonl_never_escapes_a_command(every_input, data):
     text = "".join(json.dumps(r) + "\n" for r in records)
     if data.draw(st.booleans(), label="cut"):
         text = text[:data.draw(st.integers(0, len(text)), label="cut at")]
-    (every_input / "fuzz.jsonl").write_text(text)
+    raw = text.encode()
+    if data.draw(st.booleans(), label="not utf-8"):
+        at = data.draw(st.integers(0, len(raw)), label="byte at")
+        raw = raw[:at] + data.draw(st.sampled_from([b"\xff", b"\xfe", b"\xc3"])) + raw[at:]
+    (every_input / "fuzz.jsonl").write_bytes(raw)
     fuzzed = ["fuzz.jsonl" if arg == target else arg for arg in argv]
     assert run(*fuzzed, "--out", "o.json") in (0, 2, 3, 4)
+
+
+@pytest.mark.parametrize("argv, target", [
+    pytest.param(argv, target, id="-".join(a for a in argv[:2] if a[0] != "-") + ":" + target)
+    for argv, files in FUZZ_RUNS for target in files])
+def test_jsonl_input_not_utf8_exit_3(every_input, capsys, argv, target):
+    lines = (every_input / target).read_bytes().splitlines(keepends=True)
+    (every_input / "latin1.jsonl").write_bytes(lines[0] + b'{"id": "\xe9"}\n' + b"".join(lines[1:]))
+    renamed = ["latin1.jsonl" if arg == target else arg for arg in argv]
+    capsys.readouterr()
+    assert run(*renamed, "--out", "o.json") == 3
+    assert "latin1.jsonl:2: not UTF-8" in capsys.readouterr().err
+
+
+def test_train_series_not_utf8_exit_3(workdir, capsys):
+    _write_training_fixture(workdir)
+    (workdir / "series.jsonl").write_bytes(b'{"id": "\xe9", "values": [1.0, 2.0]}\n')
+    (workdir / "s.toml").write_text(
+        _with_value((workdir / "run.toml").read_text(), "data", "series", '"series.jsonl"'))
+    capsys.readouterr()
+    assert run("train", "--config", "s.toml", "--stage", "1") == 3
+    assert "series.jsonl:1: not UTF-8" in capsys.readouterr().err
 
 
 FORECAST_MODEL = dataclasses.replace(TINY, vocab_size=262)
@@ -745,6 +772,26 @@ def test_train_config_value_of_wrong_type_or_range_exit_2(workdir, capsys, secti
     assert run("train", "--config", "bad.toml") == 2
     err = capsys.readouterr().err
     assert err.startswith(f"config error: [{section}] {key} ") and err.count("\n") == 1
+    assert not os.path.exists("run_out")
+
+
+@pytest.mark.parametrize("edit, needle", [
+    (lambda text: text.replace("[stage2]", "[stage_2]"), "top-level 'stage_2' is not a"),
+    (lambda text: "seed = 3\n" + text, "top-level 'seed' is not a"),
+    (lambda text: text.replace("log_every = 2", "log_every = 2\nlog_every = 3"),
+     "at line 19,"),
+    (lambda text: text + "[stage1]\nseq_len = 16\n", "at line 34,"),
+    (lambda text: text.replace('out_dir = "run_out"', 'out_dir = "run_\xe9"'), "utf-8"),
+], ids=["misspelled-table", "top-level-key", "repeated-key", "repeated-table", "not-utf8"])
+def test_train_config_not_read_exit_2(workdir, capsys, edit, needle):
+    _write_training_fixture(workdir)
+    text = edit((workdir / "run.toml").read_text())
+    (workdir / "bad.toml").write_bytes(text.encode("latin-1"))
+    capsys.readouterr()
+    assert run("train", "--config", "bad.toml") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: bad.toml: ") and err.count("\n") == 1, err
+    assert needle in err
     assert not os.path.exists("run_out")
 
 

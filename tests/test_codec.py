@@ -31,32 +31,32 @@ def test_all_nan_rejected():
 
 def test_normalize_center_and_unit():
     stats = codec.NormStats(mu=[2.0], sigma=[1.0])
-    assert codec.normalize(np.array([2.0]), stats)[0] == 0.0
-    assert np.isclose(codec.normalize(np.array([3.0]), stats)[0], ARCSINH_1)
-    assert np.isclose(codec.normalize(np.array([1.0]), stats)[0], -ARCSINH_1)
+    assert codec.normalize(np.array([[2.0]]), stats)[0, 0] == 0.0
+    assert np.isclose(codec.normalize(np.array([[3.0]]), stats)[0, 0], ARCSINH_1)
+    assert np.isclose(codec.normalize(np.array([[1.0]]), stats)[0, 0], -ARCSINH_1)
 
 
 def test_normalize_nan_passthrough():
     stats = codec.NormStats(mu=[0.0], sigma=[1.0])
-    out = codec.normalize(np.array([1.0, np.nan]), stats)
-    assert np.isnan(out[1]) and np.isfinite(out[0])
+    out = codec.normalize(np.array([[1.0, np.nan]]), stats)
+    assert out.shape == (1, 2) and np.isnan(out[0, 1]) and np.isfinite(out[0, 0])
 
 
 def test_denormalize_inverts():
     stats = codec.NormStats(mu=[2.0], sigma=[1.0])
-    assert codec.denormalize(np.array([0.0]), stats)[0] == 2.0
-    assert np.isclose(codec.denormalize(np.array([ARCSINH_1]), stats)[0], 3.0)
+    assert codec.denormalize(np.array([[0.0]]), stats)[0, 0] == 2.0
+    assert np.isclose(codec.denormalize(np.array([[ARCSINH_1]]), stats)[0, 0], 3.0)
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 2 ** 31 - 1), st.integers(1, 60))
 def test_roundtrip_random_series(seed, length):
     rng = np.random.default_rng(seed)
-    x = rng.normal(loc=rng.uniform(-50, 50), scale=rng.uniform(0.1, 100), size=length)
+    x = rng.normal(loc=rng.uniform(-50, 50), scale=rng.uniform(0.1, 100), size=(1, length))
     series = codec.RawSeries(x)
     stats = codec.compute_visible_stats(series)
     back = codec.denormalize(codec.normalize(x, stats), stats)
-    assert np.allclose(back, x, rtol=1e-6, atol=1e-9)
+    assert back.shape == x.shape and np.allclose(back, x, rtol=1e-6, atol=1e-9)
 
 
 def test_stats_ignore_nan_bit_identical():

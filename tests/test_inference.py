@@ -276,7 +276,7 @@ def test_linear_probe_deterministic():
     x, y = separable_toy(seed=2)
     a = inference.train_linear_probe(x, y, 2, epochs=10, seed=5)
     b = inference.train_linear_probe(x, y, 2, epochs=10, seed=5)
-    assert a.weight.tobytes() == b.weight.tobytes()
+    assert a.weights[0].tobytes() == b.weights[0].tobytes()
 
 
 def test_probe_never_touches_backbone():
@@ -308,3 +308,13 @@ def test_mlp_head_class_balanced_weights_used():
     head = inference.train_mlp_head(x, y, 2, epochs=60, seed=3)
     preds = head.predict(x)
     assert (preds[y == 1] == 1).mean() > 0.5  # minority class not collapsed
+
+
+def test_head_scores_put_relu_between_its_weights():
+    rng = np.random.default_rng(6)
+    x, w1, w2 = rng.normal(size=(5, 4)), rng.normal(size=(4, 7)), rng.normal(size=(7, 3))
+    assert inference.Head(w1).scores(x).tobytes() == (x @ w1).tobytes()
+    assert inference.Head(w1, w2).scores(x).tobytes() == \
+        (np.maximum(x @ w1, 0.0) @ w2).tobytes()
+    assert inference.Head(w1, w2).predict(x).tolist() == \
+        (np.maximum(x @ w1, 0.0) @ w2).argmax(axis=1).tolist()
