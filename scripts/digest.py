@@ -14,6 +14,9 @@ The map covers:
   once (``fixed.*``) with fixed ones, ``init_params`` at a fixed seed with
   its zero-initialised matrices filled from a seeded rng, so that a change
   to the training bits alone leaves the ``fixed.*`` digests as they are;
+- ``deep.*``: the records and parameters of one 30-step interleaved run of
+  a 2-layer model at seq_len 16, and the forecasts and embeddings above
+  with its parameters, so that state shared across layers shows too;
 - ``codec.patchify`` features, as [C*n, 4P] rows: one channel that fits
   whole patches, a padded last patch, interior NaNs, three gappy channels,
   P = 1, P > L, and explicit stats on a front-NaN-padded context.
@@ -24,6 +27,7 @@ It runs in a few seconds.
     PYTHONPATH=src python scripts/digest.py > digests.json
 """
 
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -41,6 +45,7 @@ from patchlm.optim import Schedule  # noqa: E402
 CORPUS = b"the quick brown fox jumps over the lazy dog while a slow series rises " * 12
 CONFIG = M.ModelConfig(n_layers=1, d_model=16, n_q_heads=2, n_kv_heads=1, head_dim=8,
                        patch_len=4, n_quantiles=5, vocab_size=300, max_seq=64)
+DEEP = dataclasses.replace(CONFIG, n_layers=2)
 P = CONFIG.patch_len
 
 
@@ -117,26 +122,28 @@ RUNS = {
 }
 
 
+def train(config: M.ModelConfig, vocab: bpe.BpeVocab, S: int, knobs: dict,
+          out: dict, name: str) -> dict:
+    """One 30-step run: digests of its records and final parameters."""
+    sources = training.DataSources(
+        text_stream=data.TokenStream(data.pack_documents([CORPUS], vocab)),
+        ts_source=training.synthetic_ts_source(length=40),
+        alignment_source=training.synthetic_alignment_source(length=24),
+        vocab=vocab)
+    trainer = training.Trainer(config, seed=3)
+    stage = training.StageConfig(seq_len=S, total_steps=30, micro_batch=2,
+                                 log_every=1, **knobs)
+    records = []
+    trainer.run_stage(stage, sources, Schedule(total_steps=30),
+                      metrics_sink=records.append)
+    out[f"{name}.records"] = hashlib.sha256(json.dumps(records).encode()).hexdigest()
+    out[f"{name}.params"] = digest(*(trainer.params[k].data for k in sorted(trainer.params)))
+    return trainer.params
+
+
 def training_digests(vocab: bpe.BpeVocab, out: dict) -> dict:
-    trained = {}
-    for (name, knobs), S in itertools.product(RUNS.items(), (16, 33)):
-        sources = training.DataSources(
-            text_stream=data.TokenStream(data.pack_documents([CORPUS], vocab)),
-            ts_source=training.synthetic_ts_source(length=40),
-            alignment_source=training.synthetic_alignment_source(length=24),
-            vocab=vocab)
-        trainer = training.Trainer(CONFIG, seed=3)
-        stage = training.StageConfig(seq_len=S, total_steps=30, micro_batch=2,
-                                     log_every=1, **knobs)
-        records = []
-        trainer.run_stage(stage, sources, Schedule(total_steps=30),
-                          metrics_sink=records.append)
-        out[f"train.{name}.S{S}.records"] = hashlib.sha256(
-            json.dumps(records).encode()).hexdigest()
-        out[f"train.{name}.S{S}.params"] = digest(
-            *(trainer.params[k].data for k in sorted(trainer.params)))
-        trained[name, S] = trainer.params
-    return trained
+    return {(name, S): train(CONFIG, vocab, S, knobs, out, f"train.{name}.S{S}")
+            for (name, knobs), S in itertools.product(RUNS.items(), (16, 33))}
 
 
 def fixed_params() -> dict:
@@ -148,27 +155,28 @@ def fixed_params() -> dict:
     return params
 
 
-def inference_digests(params: dict, out: dict, prefix: str = "") -> None:
+def inference_digests(params: dict, out: dict, prefix: str = "",
+                      config: M.ModelConfig = CONFIG) -> None:
     rng = np.random.default_rng(11)
     contexts = [rng.normal(size=n).cumsum() for n in (13, 20, 37)]
     contexts[1][[2, 5, 6]] = np.nan
     for i, values in enumerate(contexts):
         for horizon in (3, 9):
             for text_ids in ((), (3, 1, 7)):
-                result = inference.forecast_values(params, CONFIG, values, horizon, text_ids)
+                result = inference.forecast_values(params, config, values, horizon, text_ids)
                 out[f"{prefix}forecast.{i}.h{horizon}.text{len(text_ids)}"] = digest(
                     result.quantiles, result.median)
     series = gappy_series(rng, 2, 11)
     for repeat in (1, 2, 3):
         for text_ids in ((), (5, 9, 2, 8)):
-            emb = inference.extract_embedding(params, CONFIG, series, text_ids, repeat)
+            emb = inference.extract_embedding(params, config, series, text_ids, repeat)
             out[f"{prefix}embed.r{repeat}.text{len(text_ids)}"] = digest(emb)
     out[f"{prefix}embed.text_only"] = digest(
-        inference.extract_embedding(params, CONFIG, text_ids=(4, 2, 9)))
+        inference.extract_embedding(params, config, text_ids=(4, 2, 9)))
     for channels in (2, 3):
         series = gappy_series(rng, channels, 18)
         for text_ids in ((), (3, 1, 7)):
-            results = inference.forecast_series(params, CONFIG, series, 9, text_ids)
+            results = inference.forecast_series(params, config, series, 9, text_ids)
             out[f"{prefix}forecast.multi.c{channels}.text{len(text_ids)}"] = digest(
                 *(a for r in results for a in (r.quantiles, r.median)))
 
@@ -181,6 +189,8 @@ def main() -> None:
     trained = training_digests(vocab, out)
     inference_digests(trained["interleaved", 16], out)
     inference_digests(fixed_params(), out, prefix="fixed.")
+    deep = train(DEEP, vocab, 16, RUNS["interleaved"], out, "deep.train.interleaved.S16")
+    inference_digests(deep, out, prefix="deep.", config=DEEP)
     print(json.dumps(out, indent=1, sort_keys=True))
 
 

@@ -12,6 +12,7 @@ or ``out_dir/manifest.json`` for ``train``) and prints the result.  The
 hash covers every parsed flag but --out, --json and --pretty.  A flag of
 ``type=InputPath`` names a file the command reads and counts by content;
 ``train`` counts its parsed run config in place of the --config path.
+The --json line and the probe and eval reports write NaN metrics as null.
 """
 
 from __future__ import annotations
@@ -72,9 +73,19 @@ def _rows(rows: list, path: str, key: str) -> np.ndarray:
     return np.stack(rows)
 
 
+def _strict(payload):
+    """``payload`` with every NaN or infinity as None: NaN is not JSON."""
+    return json.loads(json.dumps(payload), parse_constant=lambda _: None)
+
+
+def _write_report(path: str, payload: dict) -> None:
+    with open(path, "w") as fh:
+        json.dump(_strict(payload), fh, indent=2, allow_nan=False)
+
+
 def _echo(args, payload: dict) -> None:
     if args.json:
-        print(json.dumps(payload))
+        print(json.dumps(_strict(payload), allow_nan=False))
     elif args.pretty:
         for key, value in payload.items():
             print(f"{key:>24}: {value}")
@@ -271,8 +282,7 @@ def cmd_probe(args) -> tuple[list[str], dict]:
         "auc": metrics.auc(auc_scores, y_eval),
         "n": int(len(y_eval)),
     }
-    with open(args.out, "w") as fh:
-        json.dump(payload, fh, indent=2)
+    _write_report(args.out, payload)
     return [args.out], payload
 
 
@@ -305,8 +315,7 @@ def cmd_eval_forecast(args) -> tuple[list[str], dict]:
     if not tasks:
         raise DataError(f"{args.truth}: no records")
     report = metrics.evaluate_forecast_tasks(tasks)
-    with open(args.out, "w") as fh:
-        json.dump(dataclasses.asdict(report), fh, indent=2)
+    _write_report(args.out, dataclasses.asdict(report))
     return [args.out], {"geomean_mase_ratio": report.geomean_mase_ratio,
                         "geomean_wql_ratio": report.geomean_wql_ratio,
                         "n_tasks": len(report.per_task), "n_skipped": len(report.skipped)}
@@ -342,8 +351,7 @@ def cmd_eval_cls(args) -> tuple[list[str], dict]:
         payload["auc"] = metrics.auc(mat[:, 1] if mat.shape[1] == 2 else mat, y_true)
     else:
         payload["auc"] = None
-    with open(args.out, "w") as fh:
-        json.dump(payload, fh, indent=2)
+    _write_report(args.out, payload)
     return [args.out], payload
 
 

@@ -143,9 +143,6 @@ def extract_embedding(params: dict[str, Tensor], config: M.ModelConfig,
     feats = (None if series is None
              else codec.patchify(series, config.patch_len).reshape(-1, 4 * config.patch_len))
     inputs = build_repeat_layout(feats, text_ids, repeat)
-    length = inputs.ids.shape[1]
-    if length > config.max_seq:
-        raise ConfigError(f"layout length {length} exceeds max_seq {config.max_seq}")
     with T.no_grad():
         hidden = M.forward_hidden(params, config, inputs)
     return hidden.data[0].mean(axis=0)

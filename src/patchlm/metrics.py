@@ -5,8 +5,9 @@ forecast MAE by the in-sample one-step seasonal-naive MAE of the
 training context, and WQL is twice the pinball loss summed over the
 level grid, normalized by Q times the total absolute target mass.
 Per-task metrics standardize against the seasonal-naive baseline and
-aggregate by geometric mean; tasks with undefined metrics (zero
-denominators) are excluded and flagged, never silently dropped.
+aggregate by geometric mean; tasks with undefined metrics or ratios
+(zero denominators, exact forecasts, contexts no longer than the season)
+are excluded and flagged, never silently dropped.
 """
 
 from __future__ import annotations
@@ -164,38 +165,31 @@ class MetricReport:
     geomean_wql_ratio: float = float("nan")
 
 
+TASK_METRICS = ("mase", "baseline_mase", "wql", "baseline_wql")
+
+
 def evaluate_forecast_tasks(tasks: list[ForecastTask]) -> MetricReport:
-    """Standardize each task by its seasonal-naive baseline, then geomean."""
+    """Standardize each task by its seasonal-naive baseline, then geomean;
+    a task with a metric that is 0 or NaN goes to ``skipped``."""
     report = MetricReport()
-    mase_ratios = []
-    wql_ratios = []
     for task in tasks:
-        baseline = seasonal_naive(task.context, task.season, len(task.target))
-        base_mase = mase(baseline, task.target, task.context, task.season)
-        base_quantiles = np.repeat(baseline[:, None], len(task.levels), axis=1)
-        base_wql = wql(base_quantiles, task.target, task.levels)
-        model_mase = mase(task.median, task.target, task.context, task.season)
-        model_wql = wql(task.quantiles, task.target, task.levels)
-        entry = {
-            "task_id": task.task_id,
-            "mase": model_mase, "baseline_mase": base_mase,
-            "wql": model_wql, "baseline_wql": base_wql,
-        }
-        undefined = any(math.isnan(v) or v == 0.0
-                        for v in (base_mase, base_wql)) or \
-            any(math.isnan(v) for v in (model_mase, model_wql))
-        if undefined:
+        entry = {"task_id": task.task_id}
+        if task.season < len(task.context):
+            baseline = seasonal_naive(task.context, task.season, len(task.target))
+            base_quantiles = np.repeat(baseline[:, None], len(task.levels), axis=1)
+            entry.update(
+                mase=mase(task.median, task.target, task.context, task.season),
+                baseline_mase=mase(baseline, task.target, task.context, task.season),
+                wql=wql(task.quantiles, task.target, task.levels),
+                baseline_wql=wql(base_quantiles, task.target, task.levels))
+        else:  # no in-sample seasonal-naive step, so no MASE scale
+            entry.update(dict.fromkeys(TASK_METRICS, float("nan")))
+        if not all(entry[k] > 0 for k in TASK_METRICS):
             report.skipped.append(entry)
             continue
-        entry["mase_ratio"] = model_mase / base_mase
-        entry["wql_ratio"] = model_wql / base_wql
+        entry["mase_ratio"] = entry["mase"] / entry["baseline_mase"]
+        entry["wql_ratio"] = entry["wql"] / entry["baseline_wql"]
         report.per_task.append(entry)
-        if entry["mase_ratio"] > 0:
-            mase_ratios.append(entry["mase_ratio"])
-        if entry["wql_ratio"] > 0:
-            wql_ratios.append(entry["wql_ratio"])
-    if mase_ratios:
-        report.geomean_mase_ratio = aggregate_geomean(mase_ratios)
-    if wql_ratios:
-        report.geomean_wql_ratio = aggregate_geomean(wql_ratios)
+    report.geomean_mase_ratio = aggregate_geomean(e["mase_ratio"] for e in report.per_task)
+    report.geomean_wql_ratio = aggregate_geomean(e["wql_ratio"] for e in report.per_task)
     return report

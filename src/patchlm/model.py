@@ -11,6 +11,11 @@ causal attention (per-head QK RMSNorm, then RoPE as one fused
 node.  Attention output projections, SwiGLU w3, and the quantile head
 start at zero so the whole stack is the identity on the residual stream
 at initialization.
+
+The residual stream is [B·S, d] rows, row-major by position, from
+``embed_sequence`` to the final norm; only attention splits it into heads.
+``forward_hidden`` works out a pass's positions, ``max_seq`` check and
+RoPE tables once, and reshapes to [B, S, d] once, at the end.
 """
 
 from __future__ import annotations
@@ -160,12 +165,6 @@ def rope_tables(positions: np.ndarray, head_dim: int, base: float, dtype) -> tup
     return np.cos(angles).astype(dtype), np.sin(angles).astype(dtype)
 
 
-def rope_apply(x: Tensor, positions: np.ndarray, base: float) -> Tensor:
-    """Rotate [B, H, S, hd] per-pair by position-dependent angles."""
-    cos, sin = rope_tables(positions, x.shape[-1], base, x.data.dtype)
-    return T.rope(x, cos, sin)
-
-
 def soft_cap(logits: Tensor, alpha: float) -> Tensor:
     """alpha * tanh(logits / alpha): bounded in (-alpha, alpha), monotone."""
     return T.mul_const(T.tanh(T.mul_const(logits, 1.0 / alpha)), alpha)
@@ -179,7 +178,6 @@ class KVCache:
     """Per-layer K/V buffers for incremental decoding (inference only)."""
 
     def __init__(self, config: ModelConfig):
-        self.config = config
         self.length = 0
         self._k: list[Optional[np.ndarray]] = [None] * config.n_layers
         self._v: list[Optional[np.ndarray]] = [None] * config.n_layers
@@ -199,8 +197,6 @@ class KVCache:
         if n_new <= 0:
             raise CacheError("cache position must advance")
         self.length += n_new
-        if self.length > self.config.max_seq:
-            raise CacheError(f"cache exceeded max_seq {self.config.max_seq}")
 
 
 # ---------------------------------------------------------------------
@@ -208,9 +204,8 @@ class KVCache:
 # ---------------------------------------------------------------------
 
 def embed_sequence(params: dict[str, Tensor], config: ModelConfig, inputs: Inputs) -> Tensor:
-    """Token lookup + normalized patch projection, merged per position."""
-    B, S = inputs.ids.shape
-    n = B * S
+    """Token lookup + normalized patch projection: one [B·S, d] row per position."""
+    n = inputs.ids.size
     flat_ids = inputs.ids.reshape(-1)
     text_pos = np.flatnonzero(flat_ids != PATCH)
     ts_pos = np.flatnonzero(flat_ids == PATCH)
@@ -230,67 +225,65 @@ def embed_sequence(params: dict[str, Tensor], config: ModelConfig, inputs: Input
         proj = T.rmsnorm(proj, params["patch_norm"], NORM_EPS)
         pieces.append(T.scatter_rows(n, ts_pos, proj))
     flat = pieces[0] if len(pieces) == 1 else T.add(pieces[0], pieces[1])
-    hidden = T.reshape(flat, (B, S, config.d_model))
-    return T.rmsnorm(hidden, params["post_emb_norm"], NORM_EPS)
+    return T.rmsnorm(flat, params["post_emb_norm"], NORM_EPS)
 
 
-def _split_heads(x: Tensor, n_heads: int, head_dim: int) -> Tensor:
-    B, S, _ = x.shape
-    return T.transpose(T.reshape(x, (B, S, n_heads, head_dim)), (0, 2, 1, 3))
+def _split_heads(rows: Tensor, S: int, n_heads: int, head_dim: int) -> Tensor:
+    """[B·S, n_heads·hd] rows -> [B, n_heads, S, hd]."""
+    return T.transpose(T.reshape(rows, (-1, S, n_heads, head_dim)), (0, 2, 1, 3))
 
 
 def attention_gqa(params: dict[str, Tensor], config: ModelConfig, layer: int,
-                  x: Tensor, cache: Optional[KVCache] = None) -> Tensor:
+                  x: Tensor, rope: tuple[np.ndarray, np.ndarray],
+                  cache: Optional[KVCache] = None) -> Tensor:
+    """Causal GQA over [B·S, d] rows; ``rope`` is the pass's (cos, sin)
+    tables, one row per position, so S is ``len(cos)``."""
     p = f"blocks.{layer}."
-    B, S, d = x.shape
+    cos, sin = rope
+    S = len(cos)
     hd = config.head_dim
-    off = cache.length if cache is not None else 0
-    positions = np.arange(off, off + S)
-    if off + S > config.max_seq:
-        raise ConfigError(f"sequence length {off + S} exceeds max_seq {config.max_seq}")
-
-    flat = T.reshape(x, (B * S, d))
-    q = _split_heads(T.reshape(T.matmul(flat, params[p + "wq"]), (B, S, -1)),
-                     config.n_q_heads, hd)
-    k = _split_heads(T.reshape(T.matmul(flat, params[p + "wk"]), (B, S, -1)),
-                     config.n_kv_heads, hd)
-    v = _split_heads(T.reshape(T.matmul(flat, params[p + "wv"]), (B, S, -1)),
-                     config.n_kv_heads, hd)
-
-    q = rope_apply(T.rmsnorm(q, params[p + "q_norm"], NORM_EPS), positions, ROPE_BASE)
-    k = rope_apply(T.rmsnorm(k, params[p + "k_norm"], NORM_EPS), positions, ROPE_BASE)
+    q = _split_heads(T.matmul(x, params[p + "wq"]), S, config.n_q_heads, hd)
+    k = _split_heads(T.matmul(x, params[p + "wk"]), S, config.n_kv_heads, hd)
+    v = _split_heads(T.matmul(x, params[p + "wv"]), S, config.n_kv_heads, hd)
+    q = T.rope(T.rmsnorm(q, params[p + "q_norm"], NORM_EPS), cos, sin)
+    k = T.rope(T.rmsnorm(k, params[p + "k_norm"], NORM_EPS), cos, sin)
 
     if cache is not None:
         if T.grad_enabled() and x.requires_grad:
             raise CacheError("KV cache is inference-only; wrap generation in no_grad()")
-        k_full, v_full = cache.extend(layer, k.data, v.data)
-        k, v = Tensor(k_full), Tensor(v_full)
-    ctx = T.causal_gqa_attention(q, k, v, off)                   # [B, Hq, S, hd]
-    merged = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (B * S, config.n_q_heads * hd))
-    return T.reshape(T.matmul(merged, params[p + "wo"]), (B, S, d))
+        k, v = map(Tensor, cache.extend(layer, k.data, v.data))
+    # [B, Hq, S, hd]: the S queries follow the keys already cached
+    ctx = T.causal_gqa_attention(q, k, v, k.shape[2] - S)
+    merged = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (x.shape[0], config.n_q_heads * hd))
+    return T.matmul(merged, params[p + "wo"])
 
 
 def block_forward(params: dict[str, Tensor], config: ModelConfig, layer: int,
-                  hidden: Tensor, cache: Optional[KVCache] = None) -> Tensor:
+                  hidden: Tensor, rope: tuple[np.ndarray, np.ndarray],
+                  cache: Optional[KVCache] = None) -> Tensor:
     p = f"blocks.{layer}."
     attn_in = T.rmsnorm(hidden, params[p + "attn_norm"], NORM_EPS)
-    hidden = T.add(hidden, attention_gqa(params, config, layer, attn_in, cache))
+    hidden = T.add(hidden, attention_gqa(params, config, layer, attn_in, rope, cache))
     mlp_in = T.rmsnorm(hidden, params[p + "mlp_norm"], NORM_EPS)
-    B, S, d = mlp_in.shape
-    mlp = T.swiglu_mlp(T.reshape(mlp_in, (B * S, d)),
-                       params[p + "w1"], params[p + "w2"], params[p + "w3"])
-    return T.add(hidden, T.reshape(mlp, (B, S, d)))
+    return T.add(hidden, T.swiglu_mlp(mlp_in, params[p + "w1"], params[p + "w2"],
+                                      params[p + "w3"]))
 
 
 def forward_hidden(params: dict[str, Tensor], config: ModelConfig,
                    inputs: Inputs, cache: Optional[KVCache] = None) -> Tensor:
     """Full stack: embeddings, blocks, final norm -> [B, S, d]."""
+    B, S = inputs.ids.shape
+    off = cache.length if cache is not None else 0
+    if off + S > config.max_seq:
+        raise ConfigError(f"sequence length {off + S} exceeds max_seq {config.max_seq}")
     hidden = embed_sequence(params, config, inputs)
+    rope = rope_tables(np.arange(off, off + S), config.head_dim, ROPE_BASE, hidden.data.dtype)
     for layer in range(config.n_layers):
-        hidden = block_forward(params, config, layer, hidden, cache)
+        hidden = block_forward(params, config, layer, hidden, rope, cache)
     if cache is not None:
-        cache.advance(inputs.ids.shape[1])
-    return T.rmsnorm(hidden, params["final_norm"], NORM_EPS)
+        cache.advance(S)
+    hidden = T.rmsnorm(hidden, params["final_norm"], NORM_EPS)
+    return T.reshape(hidden, (B, S, config.d_model))
 
 
 def text_logits(params: dict[str, Tensor], rows: Tensor) -> Tensor:

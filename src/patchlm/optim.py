@@ -12,6 +12,10 @@ projection + quantile head + every RMSNorm scale @ 0.002; betas
 (0.8, 0.95), eps 1e-10, no weight decay.  AdamW learning rates scale
 by sqrt(768/d) to keep update magnitudes steady across widths.  These
 values are fixed module constants, not settings.
+
+A tensor with no gradient on a step (the quantile head on a text-only
+step) is left as it is, but AdamW's bias correction at its next update
+uses the global step count ``t``, not the number of its own updates.
 """
 
 from __future__ import annotations

@@ -327,6 +327,38 @@ def test_truth_record_without_context_exit_3(inputs, capsys):
     assert "truth.jsonl" in err and "'context'" in err
 
 
+def _strict_json(text):
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("season", ["3", "4"])
+def test_eval_forecast_context_not_longer_than_season_is_skipped(workdir, capsys, season):
+    codec.write_jsonl("truth.jsonl", [{"id": "a", "context": [1.0, 3.0, 2.0],
+                                       "target": [4.0, 5.0]}])
+    codec.write_jsonl("f.jsonl", [{"id": "a", "quantiles": [[4.0, 4.5, 5.0]] * 2,
+                                   "median": [4.5, 4.5]}])
+    assert run("--json", "eval", "forecast", "--pred", "f.jsonl", "--truth", "truth.jsonl",
+               "--season", season, "--out", "r.json") == 0
+    line = _strict_json(capsys.readouterr().out)
+    assert line == {"geomean_mase_ratio": None, "geomean_wql_ratio": None,
+                    "n_tasks": 0, "n_skipped": 1}
+    report = _strict_json((workdir / "r.json").read_text())
+    assert report["skipped"] == [{"task_id": "a", "mase": None, "baseline_mase": None,
+                                  "wql": None, "baseline_wql": None}]
+
+
+def test_probe_undefined_auc_is_null(workdir, capsys):
+    codec.write_jsonl("labels.jsonl", [{"id": f"s{i}", "label": 0} for i in range(4)])
+    codec.write_jsonl("emb.jsonl", _embedding_records())
+    assert run("--json", "probe", "--embeddings", "emb.jsonl", "--labels", "labels.jsonl",
+               "--epochs", "2", "--out", "p.json") == 0
+    line = _strict_json(capsys.readouterr().out)
+    assert line["auc"] is None and line["accuracy"] == 1.0
+    assert _strict_json((workdir / "p.json").read_text()) == line
+
+
 def _embedding_records(width=2, n=4):
     return [{"id": f"s{i}", "embedding": [float(i + j) for j in range(width)]}
             for i in range(n)]

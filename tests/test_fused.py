@@ -300,9 +300,9 @@ def test_rope_grad_check(heads, S, hd, offset):
               [("x", x)])
 
 
-def test_rope_apply_is_one_node():
+def test_rope_is_one_node():
     x, _, _, _ = rope_case(22, 2, 3, 4, 0)
-    out = M.rope_apply(x, np.arange(3), 5e5)
+    out = T.rope(x, *M.rope_tables(np.arange(3), 4, 5e5, x.data.dtype))
     assert len(out._rules) == 1 and out._rules[0][0] is x
 
 

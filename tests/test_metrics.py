@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -213,6 +215,39 @@ def test_evaluate_tasks_flags_undefined():
         quantiles=np.ones((4, 3)), median=np.ones(4), levels=levels, season=1)
     report = X.evaluate_forecast_tasks([task])
     assert report.skipped and not report.per_task
+
+
+def _task(task_id, context, target, median, season=1):
+    levels = L.quantile_levels(3)
+    median = np.asarray(median, dtype=np.float64)
+    return X.ForecastTask(task_id=task_id, context=np.asarray(context, dtype=np.float64),
+                          target=np.asarray(target, dtype=np.float64),
+                          quantiles=np.repeat(median[:, None], 3, axis=1), median=median,
+                          levels=levels, season=season)
+
+
+def test_evaluate_tasks_flags_an_exact_forecast():
+    context = np.arange(10.0) ** 1.5
+    exact = _task("exact", context, [5.0, 7.0], [5.0, 7.0])
+    inexact = _task("inexact", context, [5.0, 7.0], [6.0, 6.0])
+    report = X.evaluate_forecast_tasks([exact, inexact])
+    assert [e["task_id"] for e in report.per_task] == ["inexact"]
+    assert [e["task_id"] for e in report.skipped] == ["exact"]
+    assert report.skipped[0]["mase"] == 0.0 and report.skipped[0]["wql"] == 0.0
+    assert report.geomean_mase_ratio == report.per_task[0]["mase_ratio"] > 0
+    assert report.geomean_wql_ratio == report.per_task[0]["wql_ratio"] > 0
+
+
+@pytest.mark.parametrize("extra", [0, 1])
+def test_evaluate_tasks_flags_a_context_not_longer_than_the_season(extra):
+    short = _task("short", [1.0, 3.0, 2.0], [4.0, 5.0], [4.5, 4.5], season=3 + extra)
+    fine = _task("fine", [1.0, 3.0, 2.0, 5.0, 4.0], [4.0, 5.0], [4.5, 4.5], season=1)
+    report = X.evaluate_forecast_tasks([short, fine])
+    assert [e["task_id"] for e in report.per_task] == ["fine"]
+    assert [e["task_id"] for e in report.skipped] == ["short"]
+    assert all(math.isnan(report.skipped[0][k])
+               for k in ("mase", "baseline_mase", "wql", "baseline_wql"))
+    assert report.geomean_mase_ratio == report.per_task[0]["mase_ratio"]
 
 
 def test_season_map():

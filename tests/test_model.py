@@ -35,6 +35,16 @@ def patch_inputs(feats):
     return M.Inputs(np.full((1, len(feats)), M.PATCH), feats)
 
 
+def rope_at(x, positions, base):
+    """RoPE of [B, H, S, hd] ``x`` at ``positions``, tables in x's dtype."""
+    return T.rope(x, *M.rope_tables(positions, x.shape[-1], base, x.data.dtype))
+
+
+def pass_rope(config, S, dtype=np.float32):
+    """The RoPE tables forward_hidden builds for a cache-free S-position pass."""
+    return M.rope_tables(np.arange(S), config.head_dim, M.ROPE_BASE, dtype)
+
+
 # -- config ------------------------------------------------------------
 
 def test_config_validation():
@@ -83,21 +93,21 @@ def test_init_fan_scaled_sigma():
 def test_rope_position_zero_identity():
     rng = np.random.default_rng(0)
     x = Tensor(rng.normal(size=(1, 2, 3, 8)).astype(np.float64))
-    out = M.rope_apply(x, np.zeros(3), base=5e5)
+    out = rope_at(x, np.zeros(3), base=5e5)
     assert np.allclose(out.data, x.data)
 
 
 def test_rope_preserves_norm():
     rng = np.random.default_rng(1)
     x = Tensor(rng.normal(size=(2, 3, 5, 16)).astype(np.float64))
-    out = M.rope_apply(x, np.arange(5), base=5e5)
+    out = rope_at(x, np.arange(5), base=5e5)
     assert np.allclose(np.linalg.norm(out.data, axis=-1),
                        np.linalg.norm(x.data, axis=-1), atol=1e-6)
 
 
 def test_rope_two_dim_rotation():
     x = Tensor(np.array([1.0, 0.0]).reshape(1, 1, 1, 2))
-    out = M.rope_apply(x, np.array([1]), base=1.0)
+    out = rope_at(x, np.array([1]), base=1.0)
     assert np.allclose(out.data.ravel(), [math.cos(1.0), math.sin(1.0)])
 
 
@@ -109,8 +119,8 @@ def test_rope_relative_position_inner_product():
     def rotated_dot(i, j):
         qt = Tensor(q.reshape(1, 1, 1, 8))
         kt = Tensor(k.reshape(1, 1, 1, 8))
-        qr = M.rope_apply(qt, np.array([i]), base=100.0).data.ravel()
-        kr = M.rope_apply(kt, np.array([j]), base=100.0).data.ravel()
+        qr = rope_at(qt, np.array([i]), base=100.0).data.ravel()
+        kr = rope_at(kt, np.array([j]), base=100.0).data.ravel()
         return float(qr @ kr)
 
     assert abs(rotated_dot(3, 1) - rotated_dot(7, 5)) < 1e-9
@@ -160,7 +170,7 @@ def test_one_hot_token_embedding_is_table_row_normed():
     hidden = M.embed_sequence(params, cfg, text_inputs([k]))
     row = params["tok_emb"].data[k].astype(np.float64)
     expect = row / np.sqrt(np.mean(row * row) + M.NORM_EPS)
-    assert np.allclose(hidden.data[0, 0], expect, atol=1e-5)
+    assert np.allclose(hidden.data[0], expect, atol=1e-5)
 
 
 def test_mixed_layout_shape():
@@ -169,7 +179,7 @@ def test_mixed_layout_shape():
     inputs = M.Inputs(np.array([[1, M.PATCH, 4]]),
                       np.ones((1, 4 * cfg.patch_len), dtype=np.float32))
     hidden = M.embed_sequence(params, cfg, inputs)
-    assert hidden.shape == (1, 3, cfg.d_model)
+    assert hidden.shape == (3, cfg.d_model)
 
 
 def test_token_id_out_of_range():
@@ -215,7 +225,7 @@ def test_block_identity_at_init():
     rng = np.random.default_rng(0)
     inputs = random_inputs(rng, cfg, 6)
     embedded = M.embed_sequence(params, cfg, inputs)
-    out = M.block_forward(params, cfg, 0, embedded)
+    out = M.block_forward(params, cfg, 0, embedded, pass_rope(cfg, 6))
     assert np.allclose(out.data, embedded.data, atol=1e-7)
 
 
@@ -237,9 +247,9 @@ def test_attention_single_position():
     rng = np.random.default_rng(2)
     for name in ("blocks.0.wo",):
         params[name].data[:] = rng.normal(size=params[name].shape).astype(np.float32)
-    x = Tensor(rng.normal(size=(1, 1, cfg.d_model)).astype(np.float32))
-    out = M.attention_gqa(params, cfg, 0, x)
-    v = x.data.reshape(1, -1) @ params["blocks.0.wv"].data
+    x = Tensor(rng.normal(size=(1, cfg.d_model)).astype(np.float32))
+    out = M.attention_gqa(params, cfg, 0, x, pass_rope(cfg, 1))
+    v = x.data @ params["blocks.0.wv"].data
     heads = v.reshape(1, cfg.n_kv_heads, cfg.head_dim)
     merged = np.repeat(heads, cfg.n_q_heads // cfg.n_kv_heads, axis=1).reshape(1, -1)
     expect = merged @ params["blocks.0.wo"].data
@@ -258,9 +268,10 @@ def test_gqa_grouping_assignment():
         wv[0, j * cfg.head_dim:(j + 1) * cfg.head_dim] = j + 1
     params["blocks.0.wv"].data[:] = wv
     params["blocks.0.wo"].data[:] = np.eye(cfg.d_model, dtype=np.float32)
-    x = np.zeros((1, 1, cfg.d_model), dtype=np.float32)
-    x[0, 0, 0] = 1.0
-    out = M.attention_gqa(params, cfg, 0, Tensor(x)).data.reshape(cfg.n_q_heads, cfg.head_dim)
+    x = np.zeros((1, cfg.d_model), dtype=np.float32)
+    x[0, 0] = 1.0
+    out = M.attention_gqa(params, cfg, 0, Tensor(x), pass_rope(cfg, 1)).data
+    out = out.reshape(cfg.n_q_heads, cfg.head_dim)
     expect_per_q = np.repeat(np.arange(1, 5), 2)
     assert np.allclose(out[:, 0], expect_per_q)
 
@@ -308,6 +319,68 @@ def test_kv_cache_rejects_training_graph():
     feats = np.ones((2, 4 * cfg.patch_len), dtype=np.float32)
     with pytest.raises(CacheError):
         M.forward_hidden(params, cfg, patch_inputs(feats), cache=M.KVCache(cfg))
+
+
+def recorded(fn, calls):
+    def wrapped(*args, **kwargs):
+        calls.append(fn(*args, **kwargs))
+        return calls[-1]
+    return wrapped
+
+
+def test_forward_keeps_residual_rows_and_builds_rope_tables_once(monkeypatch):
+    """A pass's residual adds are all [B·S, d] rows, it builds at most 4
+    reshapes per layer plus 1, and one set of RoPE tables: with a grad
+    graph, and under no_grad with a KV cache (prefill, then decode)."""
+    cfg = tiny_config(n_layers=3)
+    params = M.init_params(cfg, seed=12)
+    adds, reshapes, tables = [], [], []
+    monkeypatch.setattr(T, "add", recorded(T.add, adds))
+    monkeypatch.setattr(T, "reshape", recorded(T.reshape, reshapes))
+    monkeypatch.setattr(M, "rope_tables", recorded(M.rope_tables, tables))
+    rng = np.random.default_rng(6)
+    ids = np.array([[1, M.PATCH, 4, M.PATCH, M.PATCH], [M.PATCH, 2, 3, M.PATCH, 7]])
+    feats = rng.normal(size=(5, 4 * cfg.patch_len)).astype(np.float32)
+
+    def census(inputs, cache=None):
+        for calls in (adds, reshapes, tables):
+            calls.clear()
+        hidden = M.forward_hidden(params, cfg, inputs, cache=cache)
+        B, S = inputs.ids.shape
+        assert hidden.shape == (B, S, cfg.d_model)
+        assert len(adds) >= 2 * cfg.n_layers
+        assert all(a.shape == (B * S, cfg.d_model) for a in adds)
+        assert len(reshapes) <= 4 * cfg.n_layers + 1
+        assert len(tables) == 1
+
+    census(M.Inputs(ids, feats))
+    with T.no_grad():
+        cache = M.KVCache(cfg)
+        census(M.Inputs(ids, feats), cache)
+        census(M.Inputs(np.full((2, 1), M.PATCH), feats[:2]), cache)
+    assert cache.length == 6
+
+
+def test_forward_checks_max_seq_before_any_block(monkeypatch):
+    cfg = tiny_config(max_seq=6)
+    params = M.init_params(cfg, seed=13)
+    blocks, block = [], M.block_forward
+
+    def entered(*args, **kwargs):
+        blocks.append(args[2])
+        return block(*args, **kwargs)
+
+    monkeypatch.setattr(M, "block_forward", entered)
+    with pytest.raises(ConfigError, match="^sequence length 7 exceeds max_seq 6$"):
+        M.forward_hidden(params, cfg, text_inputs([1] * 7))
+    assert not blocks
+    with T.no_grad():
+        cache = M.KVCache(cfg)
+        M.forward_hidden(params, cfg, text_inputs([1] * 5), cache=cache)
+        assert len(blocks) == cfg.n_layers
+        with pytest.raises(ConfigError, match="^sequence length 7 exceeds max_seq 6$"):
+            M.forward_hidden(params, cfg, text_inputs([1, 2]), cache=cache)
+    assert len(blocks) == cfg.n_layers and cache.length == 5
 
 
 def test_kv_cache_advance_guard():

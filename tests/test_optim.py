@@ -132,6 +132,34 @@ def test_adamw_wd_zero_params_without_grads_frozen():
                               M.init_params(cfg, seed=0)["blocks.0.wq"].data)
 
 
+@pytest.mark.parametrize("k", [1, 5])
+def test_adamw_bias_correction_uses_the_global_step_after_skipped_steps(k):
+    """quantile_head gets no gradient on k steps; its first update then runs at
+    the global t = k + 1, not at its own first step t = 1."""
+    cfg = tiny_config()
+    params = M.init_params(cfg, seed=0)
+    opt = O.Optimizer(params, cfg)
+    for _ in range(k):
+        params["blocks.0.wq"].grad = np.ones_like(params["blocks.0.wq"].data)
+        opt.step()
+        opt.zero_grad()
+    head = params["quantile_head"]
+    grad = np.random.default_rng(k).normal(size=head.shape).astype(head.data.dtype)
+
+    def updated(t):
+        p = head.data.copy()
+        O.adamw_step(p, grad, np.zeros_like(p), np.zeros_like(p), t,
+                     lr=opt.group_lrs["adamw_rest"])
+        return p
+
+    at_global, at_own = updated(k + 1), updated(1)
+    head.grad = grad
+    opt.step()
+    assert opt.t == k + 1
+    assert np.array_equal(head.data, at_global)
+    assert not np.array_equal(head.data, at_own)
+
+
 # -- lr scaling and schedule -------------------------------------------------
 
 def test_optimizer_scales_adamw_groups_only():
