@@ -45,9 +45,8 @@ def corpus_ce(params, cfg, ids):
     with T.no_grad():
         for _ in range(max(1, len(ids) // 128) + 1):
             batch = data.build_text_batch(stream, 128, 1)
-            hidden = M.forward_hidden(params, cfg, batch.inputs)
-            flat = T.reshape(hidden, (128, cfg.d_model))
-            ce, n = losses.lm_loss(params, flat, batch.text_targets[0])
+            rows = M.forward_hidden(params, cfg, batch.inputs)
+            ce, n = losses.lm_loss(params, rows, batch.text_targets[0])
             total += ce.item() * n
             count += n
     return total / count

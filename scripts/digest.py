@@ -19,7 +19,13 @@ The map covers:
   with its parameters, so that state shared across layers shows too;
 - ``codec.patchify`` features, as [C*n, 4P] rows: one channel that fits
   whole patches, a padded last patch, interior NaNs, three gappy channels,
-  P = 1, P > L, and explicit stats on a front-NaN-padded context.
+  P = 1, P > L, and explicit stats on a front-NaN-padded context;
+- ``qloss.*``: the value of ``losses.masked_quantile_loss`` and its
+  gradients at an upstream 2.5 (the TS weight of ``combined_loss``), on
+  fixed float32 inputs with partial masks, NaN targets under the mask,
+  exact ties and a row with one valid entry: the q_hat gradient at Q = 1,
+  5 and 21, and through the quantile head its weight, norm and row
+  gradients.
 
 Two trees that print the same map compute the same bits for all of these.
 It runs in a few seconds.
@@ -38,9 +44,10 @@ import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from patchlm import bpe, codec, data, inference, training  # noqa: E402
+from patchlm import bpe, codec, data, inference, losses, training  # noqa: E402
 from patchlm import model as M  # noqa: E402
 from patchlm.optim import Schedule  # noqa: E402
+from patchlm.tensor import Tensor  # noqa: E402
 
 CORPUS = b"the quick brown fox jumps over the lazy dog while a slow series rises " * 12
 CONFIG = M.ModelConfig(n_layers=1, d_model=16, n_q_heads=2, n_kv_heads=1, head_dim=8,
@@ -114,6 +121,50 @@ def patch_digests(out: dict) -> None:
         out[f"patch.{name}"] = digest(feats.reshape(-1, 4 * patch_len))
 
 
+def qloss_case(rng: np.random.Generator, q_hat: np.ndarray):
+    """float32 targets and mask for ``q_hat``: a partial mask, NaN targets
+    under it, exact ties with q_hat and a row with one valid entry."""
+    n, p, n_q = q_hat.shape
+    targets = rng.normal(size=(n, p)).astype(np.float32)
+    mask = (rng.random((n, p)) < 0.6).astype(np.float32)
+    mask[0] = 0.0
+    mask[0, 1] = 1.0                                       # one valid entry
+    targets[1, 0] = q_hat[1, 0, n_q // 2]                  # exact ties
+    targets[2, 2] = q_hat[2, 2, 0]
+    mask[1, 0] = mask[2, 2] = 1.0
+    targets[mask == 0] = np.nan
+    return targets, mask
+
+
+def quantile_objective(ql):
+    """``combined_loss`` of a TS batch: the quantile loss at weight 2.5."""
+    return losses.combined_loss(Tensor(np.zeros((), dtype=np.float32)), ql, 1.0, 2.5)
+
+
+def qloss_digests(out: dict) -> None:
+    rng = np.random.default_rng(23)
+    for n_q in (1, 5, 21):
+        q_hat = Tensor(rng.normal(size=(7, 4, n_q)).astype(np.float32), requires_grad=True)
+        targets, mask = qloss_case(rng, q_hat.data)
+        ql, _ = losses.masked_quantile_loss(q_hat, targets, mask,
+                                            losses.quantile_levels(n_q))
+        quantile_objective(ql).backward()
+        out[f"qloss.q{n_q}.value"] = digest(ql.data)
+        out[f"qloss.q{n_q}.dq"] = digest(q_hat.grad)
+
+    params = fixed_params()
+    rows = Tensor(rng.normal(size=(9, CONFIG.d_model)).astype(np.float32), requires_grad=True)
+    q_hat = losses.quantile_head(params, CONFIG, rows)
+    targets, mask = qloss_case(rng, q_hat.data)
+    ql, _ = losses.masked_quantile_loss(q_hat, targets, mask,
+                                        losses.quantile_levels(CONFIG.n_quantiles))
+    quantile_objective(ql).backward()
+    out["qloss.head.value"] = digest(ql.data)
+    out["qloss.head.dw"] = digest(params["quantile_head"].grad)
+    out["qloss.head.dnorm"] = digest(params["qhead_norm"].grad)
+    out["qloss.head.drows"] = digest(rows.grad)
+
+
 RUNS = {
     "text": dict(text_prob=1.0),
     "ts": dict(text_prob=0.0),
@@ -185,6 +236,7 @@ def main() -> None:
     vocab = bpe.bpe_train([CORPUS], 280)  # 280 tokens plus the specials
     out: dict = {}
     patch_digests(out)
+    qloss_digests(out)
     batch_digests(vocab, out)
     trained = training_digests(vocab, out)
     inference_digests(trained["interleaved", 16], out)

@@ -73,6 +73,22 @@ def _rows(rows: list, path: str, key: str) -> np.ndarray:
     return np.stack(rows)
 
 
+def _id(record: dict, path: str) -> str:
+    return _field(record, "id", path, str)
+
+
+def _by_id(path: str, key=_id) -> dict:
+    """The records of a JSONL file by ``key(record, path)``, the record's id by
+    default; a key on more than one record is a DataError naming file and key."""
+    out = {}
+    for record in codec.read_jsonl(path):
+        k = key(record, path)
+        if k in out:
+            raise DataError(f"{path}: id {k!r} on more than one record")
+        out[k] = record
+    return out
+
+
 def _strict(payload):
     """``payload`` with every NaN or infinity as None: NaN is not JSON."""
     return json.loads(json.dumps(payload), parse_constant=lambda _: None)
@@ -245,11 +261,9 @@ def cmd_embed(args) -> tuple[list[str], dict]:
 # -- probe ---------------------------------------------------------------------------
 
 def _join_by_id(embeddings_path: str, labels_path: str):
-    embs = {_field(r, "id", embeddings_path, str): _field(r, "embedding", embeddings_path,
-                                                           _floats(1))
-            for r in codec.read_jsonl(embeddings_path)}
-    labels = {_field(r, "id", labels_path, str): _field(r, "label", labels_path, _label)
-              for r in codec.read_jsonl(labels_path)}
+    embs = {i: _field(r, "embedding", embeddings_path, _floats(1))
+            for i, r in _by_id(embeddings_path).items()}
+    labels = {i: _field(r, "label", labels_path, _label) for i, r in _by_id(labels_path).items()}
     ids = sorted(set(embs) & set(labels))
     if not ids:
         raise DataError("no overlapping ids between embeddings and labels")
@@ -290,12 +304,11 @@ def cmd_probe(args) -> tuple[list[str], dict]:
 
 def cmd_eval_forecast(args) -> tuple[list[str], dict]:
     def key(record, path):
-        return _field(record, "id", path, str), _field(record, "channel", path, int, default=0)
+        return _id(record, path), _field(record, "channel", path, int, default=0)
 
-    preds = {key(r, args.pred): r for r in codec.read_jsonl(args.pred)}
+    preds = _by_id(args.pred, key)
     tasks = []
-    for record in codec.read_jsonl(args.truth):
-        task_key = key(record, args.truth)
+    for task_key, record in _by_id(args.truth, key).items():
         if task_key not in preds:
             raise DataError(f"missing prediction for series {task_key}")
         pred = preds[task_key]
@@ -322,12 +335,11 @@ def cmd_eval_forecast(args) -> tuple[list[str], dict]:
 
 
 def cmd_eval_cls(args) -> tuple[list[str], dict]:
-    preds = {_field(r, "id", args.pred, str): r for r in codec.read_jsonl(args.pred)}
+    preds = _by_id(args.pred)
     if len({"scores" in r for r in preds.values()}) > 1:
         raise DataError(f"{args.pred}: 'scores' on some records but not on others")
     y_true, y_pred, scores = [], [], []
-    for record in codec.read_jsonl(args.truth):
-        rid = _field(record, "id", args.truth, str)
+    for rid, record in _by_id(args.truth).items():
         if rid not in preds:
             raise DataError(f"missing prediction for id {rid}")
         pred = preds[rid]

@@ -97,9 +97,10 @@ def forecast_series(params: dict[str, Tensor], config: M.ModelConfig,
     collected = []
     with T.no_grad():
         cache = M.KVCache(config)
-        hidden = M.forward_hidden(params, config, _text_then_patches(text_ids, feats),
-                                  cache=cache)
-        last = Tensor(hidden.data[:, -1])
+        inputs = _text_then_patches(text_ids, feats)
+        S = inputs.ids.shape[1]
+        rows = M.forward_hidden(params, config, inputs, cache=cache)
+        last = Tensor(rows.data[S - 1::S])          # each channel's last position
         for step in range(n_steps):
             q_hat = losses.quantile_head(params, config, last).data   # [C, P, Q]
             q_sorted = np.sort(q_hat, axis=-1)
@@ -109,9 +110,9 @@ def forecast_series(params: dict[str, Tensor], config: M.ModelConfig,
             median_patch = q_sorted[:, :, config.n_quantiles // 2]
             feats_next = _generated_patch_features(
                 median_patch, padded_len, padded_len + step * P, P)
-            hidden = M.forward_hidden(params, config, _text_then_patches((), feats_next),
-                                      cache=cache)
-            last = Tensor(hidden.data[:, 0])
+            # one position per channel: the rows are the channels' last states
+            last = M.forward_hidden(params, config, _text_then_patches((), feats_next),
+                                    cache=cache)
 
     normed = np.concatenate(collected, axis=1)[:, :horizon]     # [C, H, Q]
     # per-channel stats act on [C, H*Q] rows; sinh keeps the sort order
@@ -144,8 +145,8 @@ def extract_embedding(params: dict[str, Tensor], config: M.ModelConfig,
              else codec.patchify(series, config.patch_len).reshape(-1, 4 * config.patch_len))
     inputs = build_repeat_layout(feats, text_ids, repeat)
     with T.no_grad():
-        hidden = M.forward_hidden(params, config, inputs)
-    return hidden.data[0].mean(axis=0)
+        rows = M.forward_hidden(params, config, inputs)
+    return rows.data.mean(axis=0)
 
 
 # ---------------------------------------------------------------------

@@ -5,8 +5,11 @@ computed by the fused ``tensor.softcapped_cross_entropy``: rows go
 through in chunks and the gradients are formed in the forward pass
 (``model.text_logits`` is the unfused form).  Time series: a
 zero-initialized bias-free quantile head over Q levels and the masked
-pinball loss normalized by Q times the valid-target count.  The combined
-objective is the weighted sum w_text * CE + w_ts * QL.
+pinball loss normalized by Q times the valid-target count, one fused
+``tensor.masked_pinball`` node: targets under a zero mask never enter it,
+and its gradient is the slope tau or tau - 1 that the max picked, scaled
+by the mask.  The combined objective is the weighted sum
+w_text * CE + w_ts * QL.
 """
 
 from __future__ import annotations
@@ -55,36 +58,18 @@ def quantile_head(params: dict[str, Tensor], config: ModelConfig, rows: Tensor) 
     return T.reshape(flat, (rows.shape[0], config.patch_len, config.n_quantiles))
 
 
-def pinball(u: Tensor, levels: np.ndarray) -> Tensor:
-    """rho_tau(u) = max(tau*u, (tau-1)*u) per trailing quantile axis."""
-    levels = np.asarray(levels, dtype=u.data.dtype)
-    return T.maximum(T.mul_const(u, levels), T.mul_const(u, levels - 1.0))
-
-
 def masked_quantile_loss(q_hat: Tensor, targets: np.ndarray, mask: np.ndarray,
                          levels: np.ndarray) -> tuple[Tensor, float]:
-    """sum(z * rho_tau(y - q_hat)) / (Q * sum(z)); empty mask -> 0, weight 0.
+    """sum(z * rho_tau(y - q_hat)) / (Q * sum(z)) as one ``tensor.masked_pinball``
+    node, and the valid-target count sum(z); an empty mask gives 0, weight 0.
 
     With no rows at all the loss is that constant whatever the patch width
     of ``targets`` and ``mask``: a text batch carries [B, S, 1] TS arrays.
     """
-    targets = np.asarray(targets, dtype=q_hat.data.dtype)
-    mask = np.asarray(mask, dtype=q_hat.data.dtype)
-    if q_hat.shape[:1] == targets.shape[:1] == mask.shape[:1] == (0,):
+    if q_hat.shape[:1] == np.shape(targets)[:1] == np.shape(mask)[:1] == (0,):
         return Tensor(np.zeros((), dtype=q_hat.dtype)), 0.0
-    if q_hat.shape[:-1] != targets.shape or targets.shape != mask.shape:
-        raise DimensionError(
-            f"shapes disagree: q_hat {q_hat.shape}, targets {targets.shape}, mask {mask.shape}")
-    n_valid = float(mask.sum())
-    if n_valid == 0.0:
-        return Tensor(np.zeros((), dtype=q_hat.dtype)), 0.0
-    n_q = q_hat.shape[-1]
-    # y - q_hat with masked targets zeroed so NaN targets never touch the graph
-    y = np.where(mask > 0, targets, 0.0)[..., None]
-    u = T.add_const(T.mul_const(q_hat, -1.0), y)
-    rho = pinball(u, levels)
-    weighted = T.mul_const(rho, mask[..., None])
-    return T.mul_const(T.tsum(weighted), 1.0 / (n_q * n_valid)), n_valid
+    loss = T.masked_pinball(q_hat, targets, mask, levels)
+    return loss, float(np.asarray(mask, dtype=q_hat.dtype).sum())
 
 
 def combined_loss(ce: Tensor, ql: Tensor,

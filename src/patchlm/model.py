@@ -15,7 +15,8 @@ at initialization.
 The residual stream is [B·S, d] rows, row-major by position, from
 ``embed_sequence`` to the final norm; only attention splits it into heads.
 ``forward_hidden`` works out a pass's positions, ``max_seq`` check and
-RoPE tables once, and reshapes to [B, S, d] once, at the end.
+RoPE tables once, and hands the final-norm rows to the heads as they are:
+row b·S + s is position s of sequence b.
 """
 
 from __future__ import annotations
@@ -271,8 +272,8 @@ def block_forward(params: dict[str, Tensor], config: ModelConfig, layer: int,
 
 def forward_hidden(params: dict[str, Tensor], config: ModelConfig,
                    inputs: Inputs, cache: Optional[KVCache] = None) -> Tensor:
-    """Full stack: embeddings, blocks, final norm -> [B, S, d]."""
-    B, S = inputs.ids.shape
+    """Full stack: embeddings, blocks, final norm -> [B·S, d] rows."""
+    S = inputs.ids.shape[1]
     off = cache.length if cache is not None else 0
     if off + S > config.max_seq:
         raise ConfigError(f"sequence length {off + S} exceeds max_seq {config.max_seq}")
@@ -282,8 +283,7 @@ def forward_hidden(params: dict[str, Tensor], config: ModelConfig,
         hidden = block_forward(params, config, layer, hidden, rope, cache)
     if cache is not None:
         cache.advance(S)
-    hidden = T.rmsnorm(hidden, params["final_norm"], NORM_EPS)
-    return T.reshape(hidden, (B, S, config.d_model))
+    return T.rmsnorm(hidden, params["final_norm"], NORM_EPS)
 
 
 def text_logits(params: dict[str, Tensor], rows: Tensor) -> Tensor:

@@ -13,7 +13,7 @@ Design rules kept deliberately strict so every backward rule stays auditable:
 Training math runs in float32; ``grad_check`` demands float64 so the
 central-finite-difference oracle is tight.
 
-Four fused ops carry the hot paths of a train step:
+Five fused ops carry the hot paths of a train step:
 
 * ``softcapped_cross_entropy`` -- the vocab head and its mean CE, worked
   through in row chunks so no [N, V] logit matrix enters the graph.  The
@@ -26,6 +26,16 @@ Four fused ops carry the hot paths of a train step:
   backward is the inverse rotation.
 * ``swiglu_mlp`` -- a block's SwiGLU MLP as one node, with the same float
   ops in the same order as the generic-op chain it replaces.
+* ``masked_pinball`` -- the masked quantile (pinball) loss as one node.
+
+The pinball op takes [..., Q] quantiles, the targets and mask without the
+Q axis, and the Q levels.  It runs the float ops of the eight-node chain
+it replaces in that chain's order: ``u = y - q`` (bit-equal to
+``(q * -1) + y``), ``tau u`` and ``(tau - 1) u``, the ``>=`` pick, the
+mask, the sum, then the float32 scale ``1 / (Q sum(mask))``.  So the loss
+and every gradient keep their bits, down to the -0 of each zero entry of
+the q gradient.  It holds one [..., Q] slope instead of six [..., Q]
+values.
 
 Attention and the MLP each need one computation for all of their parents'
 gradients.  Both build their node with ``_make_joint``, which runs that
@@ -63,7 +73,7 @@ def grad_enabled() -> bool:
 
 
 # One rule per parent: fn maps the output gradient to that parent's
-# gradient contribution (same shape as the parent).
+# gradient contribution (the parent's shape and dtype; backward checks).
 Rule = tuple["Tensor", Callable[[np.ndarray], np.ndarray]]
 
 
@@ -118,7 +128,8 @@ class Tensor:
 
         Visits each node exactly once in reverse topological order.  Leaf
         gradients accumulate across calls; intermediate gradients do not
-        persist between calls.
+        persist between calls.  A rule whose gradient does not have its
+        parent's shape and dtype raises ``DimensionError`` naming the rule.
         """
         if self.data.size != 1:
             raise DimensionError("backward() requires a scalar output")
@@ -153,6 +164,10 @@ class Tensor:
                 if not parent.requires_grad:
                     continue
                 contrib = fn(g)
+                if contrib.shape != parent.data.shape or contrib.dtype != parent.data.dtype:
+                    raise DimensionError(
+                        f"{fn.__qualname__}: gradient {contrib.dtype}{list(contrib.shape)} "
+                        f"for a {parent.data.dtype}{list(parent.shape)} parent")
                 key = id(parent)
                 if key in grads:
                     grads[key] = grads[key] + contrib
@@ -553,6 +568,48 @@ def swiglu_mlp(x: Tensor, w1: Tensor, w2: Tensor, w3: Tensor) -> Tensor:
         return dx, x.data.T @ dh1, x.data.T @ dh2, (gate * h2).T @ g
 
     return _make_joint(out, (x, w1, w2, w3), grads)
+
+
+def masked_pinball(q: Tensor, targets: np.ndarray, mask: np.ndarray,
+                   levels: np.ndarray) -> Tensor:
+    """Masked pinball loss ``sum(mask * rho_tau(y - q)) / (Q * sum(mask))``.
+
+    ``q`` is [..., Q] (e.g. [N, P, Q]), ``targets`` and ``mask`` are q's
+    shape without the Q axis, and ``levels`` holds the Q levels tau;
+    ``rho_tau(u) = max(tau u, (tau - 1) u)``.  Targets under a zero mask
+    are zeroed first, so a NaN there never enters.  An all-zero mask gives
+    a constant 0.  The node saves the slope tau or tau - 1 that the max
+    picked; the backward is ``-(g * scale * mask) * slope``.
+    """
+    dt = q.data.dtype
+    targets = np.asarray(targets, dtype=dt)
+    mask = np.asarray(mask, dtype=dt)
+    levels = np.asarray(levels, dtype=dt)
+    n_q = q.shape[-1] if q.ndim else 0
+    if q.shape[:-1] != targets.shape or mask.shape != targets.shape or levels.shape != (n_q,):
+        raise DimensionError(f"masked_pinball: q {q.shape}, targets {targets.shape}, "
+                             f"mask {mask.shape}, levels {levels.shape}")
+    n_valid = float(mask.sum())
+    if n_valid == 0.0:
+        return Tensor(np.zeros((), dtype=dt))
+    scale = dt.type(1.0 / (n_q * n_valid))
+    weight = mask[..., None]
+    u = np.where(mask > 0, targets, 0.0)[..., None] - q.data
+    lower = levels - 1.0
+    rho = u * levels
+    u *= lower
+    take_tau = rho >= u
+    np.copyto(rho, u, where=~take_tau)          # max(tau u, (tau - 1) u)
+    slope = np.where(take_tau, levels, lower)
+    rho *= weight
+    loss = np.asarray(rho.sum() * scale)
+
+    def bw(g: np.ndarray) -> np.ndarray:
+        d = (g * scale * weight) * slope
+        d += 0.0                                # -0 -> +0, so every zero negates to -0
+        return np.negative(d, out=d)
+
+    return _make(loss, [(q, bw)])
 
 
 # ---------------------------------------------------------------------

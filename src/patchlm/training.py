@@ -28,7 +28,7 @@ from . import codec, data, losses, synth
 from . import model as M
 from . import tensor as T
 from .bpe import BpeVocab
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, NumericError
 from .optim import Optimizer, Schedule
 from .tensor import Tensor
 
@@ -142,21 +142,24 @@ class Trainer:
     # -- one update ------------------------------------------------------
     def train_step(self, batch: data.TrainBatch, lr_mult: float,
                    w_text: float, w_ts: float) -> dict:
-        hidden = M.forward_hidden(self.params, self.config, batch.inputs)
-        B, S, d = hidden.shape
-        flat = T.reshape(hidden, (B * S, d))
+        B, S = batch.inputs.ids.shape
+        rows = M.forward_hidden(self.params, self.config, batch.inputs)
 
         tt = batch.text_targets.reshape(-1)
         text_rows = np.flatnonzero(tt >= 0)
-        ce, _ = losses.lm_loss(self.params, T.gather_rows(flat, text_rows), tt[text_rows])
+        ce, _ = losses.lm_loss(self.params, T.gather_rows(rows, text_rows), tt[text_rows])
 
         tm = batch.ts_mask.reshape(B * S, -1)
         ts_rows = np.flatnonzero(tm.any(axis=1))
-        q_hat = losses.quantile_head(self.params, self.config, T.gather_rows(flat, ts_rows))
+        q_hat = losses.quantile_head(self.params, self.config, T.gather_rows(rows, ts_rows))
         ql, _ = losses.masked_quantile_loss(
             q_hat, batch.ts_targets.reshape(B * S, -1)[ts_rows], tm[ts_rows], self.levels)
 
         loss = losses.combined_loss(ce, ql, w_text, w_ts)
+        if not np.isfinite(loss.data):
+            # before backward(), so no parameter or optimizer buffer takes the NaN
+            raise NumericError(f"step {self.step + 1} ({batch.modality} batch): loss is not "
+                               f"finite (ce {ce.item()}, ql {ql.item()})")
         if loss.requires_grad:
             loss.backward()
             self.optimizer.step(lr_mult)

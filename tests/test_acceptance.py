@@ -73,10 +73,9 @@ def test_criterion_1_gradient_fidelity():
         ts_mask = (rng.random((6, cfg.patch_len)) < 0.8).astype(float)
 
         def objective():
-            hidden = M.forward_hidden(params, cfg, inputs)
-            flat = T.reshape(hidden, (16, cfg.d_model))
-            ce, _ = losses.lm_loss(params, T.gather_rows(flat, text_pos), text_targets)
-            q_hat = losses.quantile_head(params, cfg, T.gather_rows(flat, ts_pos))
+            rows = M.forward_hidden(params, cfg, inputs)
+            ce, _ = losses.lm_loss(params, T.gather_rows(rows, text_pos), text_targets)
+            q_hat = losses.quantile_head(params, cfg, T.gather_rows(rows, ts_pos))
             ql, _ = losses.masked_quantile_loss(q_hat, ts_targets, ts_mask, levels)
             return losses.combined_loss(ce, ql, 1.0, 2.5)
 
@@ -202,7 +201,7 @@ def test_criterion_5_kv_cache_equivalence():
             with T.no_grad():
                 for step in range(horizon // P):
                     hidden = M.forward_hidden(params, cfg, patch_inputs(feats))
-                    last = Tensor(hidden.data[0, -1:])
+                    last = Tensor(hidden.data[-1:])
                     q_sorted = np.sort(losses.quantile_head(params, cfg, last).data[0], axis=-1)
                     collected.append(q_sorted)
                     median = q_sorted[:, cfg.n_quantiles // 2]
@@ -221,7 +220,7 @@ def test_criterion_5_kv_cache_equivalence():
             bumped = feats.copy()
             bumped[cut:] = rng.normal(size=bumped[cut:].shape)
             out = M.forward_hidden(params, cfg, patch_inputs(bumped)).data
-            assert out[0, :cut].tobytes() == base[0, :cut].tobytes()
+            assert out[:cut].tobytes() == base[:cut].tobytes()
 
 
 # ---------------------------------------------------------------------

@@ -407,6 +407,57 @@ def test_eval_cls_malformed_predictions_exit_3_naming_the_file(workdir, capsys, 
     assert err.startswith("data error: pred.jsonl: ") and err.count("\n") == 1
 
 
+def _assert_repeated_id(capsys, path, rid):
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {path}: ") and err.count("\n") == 1
+    assert repr(rid) in err
+
+
+@pytest.mark.parametrize("repeated", ["labels.jsonl", "emb.jsonl"])
+def test_probe_repeated_id_exit_3(workdir, capsys, repeated):
+    labels = [{"id": f"s{i}", "label": i % 2} for i in range(4)]
+    embeddings = _embedding_records()
+    if repeated == "labels.jsonl":
+        labels.append({"id": "s1", "label": 0})
+    else:
+        embeddings.append({"id": "s1", "embedding": [9.0, 9.0]})
+    codec.write_jsonl("labels.jsonl", labels)
+    codec.write_jsonl("emb.jsonl", embeddings)
+    assert run("probe", "--embeddings", "emb.jsonl", "--labels", "labels.jsonl",
+               "--epochs", "2", "--out", "p.json") == 3
+    _assert_repeated_id(capsys, repeated, "s1")
+    assert not os.path.exists("p.json")
+
+
+@pytest.mark.parametrize("repeated", ["pred.jsonl", "cls.jsonl"])
+def test_eval_cls_repeated_id_exit_3(workdir, capsys, repeated):
+    preds = [{"id": "a", "label": 1}, {"id": "b", "label": 1}]
+    truth = [{"id": "a", "label": 1}, {"id": "b", "label": 1}]
+    (preds if repeated == "pred.jsonl" else truth).append({"id": "a", "label": 0})
+    codec.write_jsonl("pred.jsonl", preds)
+    codec.write_jsonl("cls.jsonl", truth)
+    assert run("eval", "cls", "--pred", "pred.jsonl", "--truth", "cls.jsonl",
+               "--out", "r.json") == 3
+    _assert_repeated_id(capsys, repeated, "a")
+    assert not os.path.exists("r.json")
+
+
+@pytest.mark.parametrize("repeated", ["f.jsonl", "truth.jsonl"])
+def test_eval_forecast_repeated_series_and_channel_exit_3(workdir, capsys, repeated):
+    truth = [{"id": "a", "channel": c, "context": [1.0, 3.0, 2.0, 4.0], "target": [4.0, 5.0]}
+             for c in (0, 1)]
+    preds = [{"id": "a", "channel": c, "quantiles": [[4.0, 4.5, 5.0]] * 2,
+              "median": [4.5, 4.5]} for c in (0, 1)]
+    (preds if repeated == "f.jsonl" else truth).append(dict(
+        (preds if repeated == "f.jsonl" else truth)[1]))
+    codec.write_jsonl("f.jsonl", preds)
+    codec.write_jsonl("truth.jsonl", truth)
+    assert run("eval", "forecast", "--pred", "f.jsonl", "--truth", "truth.jsonl",
+               "--season", "1", "--out", "r.json") == 3
+    _assert_repeated_id(capsys, repeated, ("a", 1))
+    assert not os.path.exists("r.json")
+
+
 @pytest.mark.parametrize("flag, path", [("--test-embeddings", "test_emb.jsonl"),
                                         ("--test-labels", "labels.jsonl")])
 def test_probe_test_flag_without_its_partner_exit_2(workdir, capsys, flag, path):

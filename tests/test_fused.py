@@ -3,8 +3,9 @@
 The oracles below are generic-op chains: tied matmul -> soft cap ->
 log-softmax -> gather for the vocab head, repeated K/V -> scaled scores ->
 causal mask -> softmax -> weighted values for attention, one [hd, hd]
-matrix of 2x2 rotation blocks per position for RoPE, and three matmuls
-around a tanh-form sigmoid for the SwiGLU MLP.
+matrix of 2x2 rotation blocks per position for RoPE, three matmuls
+around a tanh-form sigmoid for the SwiGLU MLP, and for the masked pinball
+loss the eight-node chain ``losses.masked_quantile_loss`` used to build.
 """
 
 import gc
@@ -15,6 +16,7 @@ import weakref
 import numpy as np
 import pytest
 
+from patchlm import codec, data, training
 from patchlm import losses as L
 from patchlm import model as M
 from patchlm import tensor as T
@@ -65,6 +67,18 @@ def swiglu_oracle(x, w1, w2, w3):
     h1 = T.matmul(x, w1)
     sig = T.add_const(T.mul_const(T.tanh(T.mul_const(h1, 0.5)), 0.5), 0.5)
     return T.matmul(T.mul(T.mul(h1, sig), T.matmul(x, w2)), w3)
+
+
+def pinball_oracle(q, targets, mask, levels):
+    """(q * -1) + y, then max(tau u, (tau - 1) u), * mask, sum, * 1 / (Q sum(mask))."""
+    dt = q.data.dtype
+    mask = np.asarray(mask, dtype=dt)
+    levels = np.asarray(levels, dtype=dt)
+    y = np.where(mask > 0, np.asarray(targets, dtype=dt), 0.0)[..., None]
+    u = T.add_const(T.mul_const(q, -1.0), y)
+    rho = T.maximum(T.mul_const(u, levels), T.mul_const(u, levels - 1.0))
+    total = T.tsum(T.mul_const(rho, mask[..., None]))
+    return T.mul_const(total, 1.0 / (q.shape[-1] * float(mask.sum())))
 
 
 def leaf_grads(loss, leaves):
@@ -435,12 +449,17 @@ def test_joint_node_computes_all_gradients_once_per_backward():
 
 def test_joint_node_recomputes_after_an_interrupted_backward():
     a, b = t64([1.0, 2.0]), t64([3.0, 4.0])
-    out = T._make_joint(a.data * b.data, (a, b), lambda g: (g * b.data, g * a.data))
-    # a second path hands a a wrongly shaped gradient, so the first sweep
-    # fails after the joint node gave out a's share and before b's
-    broken = T._make(out.data.copy(), [(a, lambda g: np.ones(3))])
-    with pytest.raises(ValueError):
-        T.tsum(T.add(broken, out)).backward()
+    calls = []
+
+    def grads(g):
+        # the first call hands a a wrongly shaped share, so that sweep fails
+        # after the joint node gave out a's share and before b's
+        calls.append(g)
+        return (np.ones(3) if len(calls) == 1 else g * b.data), g * a.data
+
+    out = T._make_joint(a.data * b.data, (a, b), grads)
+    with pytest.raises(DimensionError):
+        T.tsum(out).backward()
     probe = Tensor(np.array([10.0, 100.0]))
     a.grad = b.grad = None
     T.tsum(T.mul(out, probe)).backward()
@@ -465,3 +484,127 @@ def test_block_forward_builds_one_swiglu_node_per_layer():
         assert len(users) == 1
         parents = [parent for parent, _ in users[0]._rules]
         assert len(parents) == 4 and all(p is w for p, w in zip(parents[1:], weights))
+
+
+# ---------------------------------------------------------------------
+# masked_pinball
+# ---------------------------------------------------------------------
+
+# (N, Q) with P = 4: one row, an odd row count, one level and the default 21
+PINBALL_CASES = [(1, 1), (1, 21), (7, 1), (7, 21)]
+
+
+def pinball_case(seed, N, Q, P=4, dtype=np.float32):
+    """A partial mask with NaN targets under it, and an exact tie (u = 0)."""
+    rng = np.random.default_rng(seed)
+    q = rng.normal(size=(N, P, Q)).astype(dtype)
+    targets = rng.normal(size=(N, P)).astype(dtype)
+    mask = (rng.random((N, P)) < 0.6).astype(dtype)
+    mask[0, :2] = 1.0
+    mask[-1, -1] = 0.0
+    targets[0, 0] = q[0, 0, Q // 2]
+    targets[mask == 0] = np.nan
+    return q, targets, mask, L.quantile_levels(Q)
+
+
+def raw_q_grad(make_loss, q_data, w_ts=2.5):
+    """The loss and the gradient that reaches q when the loss enters
+    ``combined_loss`` at weight ``w_ts``, read before a leaf's ``.grad +=``
+    can turn -0 into +0."""
+    reached = []
+
+    def catch(g):
+        reached.append(g.copy())
+        return g
+
+    q = T._make(q_data.copy(), [(Tensor(q_data, requires_grad=True), catch)])
+    loss = make_loss(q)
+    L.combined_loss(Tensor(np.zeros((), dtype=q_data.dtype)), loss, 1.0, w_ts).backward()
+    return loss, reached[0]
+
+
+@pytest.mark.parametrize("N,Q", PINBALL_CASES)
+def test_pinball_float32_bytes_equal_the_chain(N, Q):
+    q, targets, mask, levels = pinball_case(40 + N + Q, N, Q)
+    fused, d_fused = raw_q_grad(lambda t: T.masked_pinball(t, targets, mask, levels), q)
+    chain, d_chain = raw_q_grad(lambda t: pinball_oracle(t, targets, mask, levels), q)
+    assert fused.data.dtype == d_fused.dtype == np.float32
+    assert np.asarray(fused.data).tobytes() == np.asarray(chain.data).tobytes()
+    assert d_fused.tobytes() == d_chain.tobytes()
+    zeros = d_fused == 0                      # the masked entries, at least
+    assert zeros[mask == 0].all() and np.signbit(d_fused[zeros]).all()
+
+
+@pytest.mark.parametrize("N,Q", PINBALL_CASES)
+def test_pinball_grad_check(N, Q):
+    q, targets, mask, levels = pinball_case(50 + N + Q, N, Q, dtype=np.float64)
+    targets[0, 0] += 0.25                     # keep u away from the kink at 0
+    q = t64(q)
+    assert_fd(lambda: T.masked_pinball(q, targets, mask, levels), [("q", q)])
+
+
+def test_pinball_backward_twice_accumulates_exactly_double():
+    q, targets, mask, levels = pinball_case(60, 5, 21)
+    q = Tensor(q, requires_grad=True)
+    loss = T.mul_const(T.masked_pinball(q, targets, mask, levels), 2.5)
+    loss.backward()
+    once = q.grad.copy()
+    loss.backward()
+    assert np.array_equal(q.grad, 2.0 * once)
+
+
+def test_pinball_no_grad_builds_no_graph():
+    q, targets, mask, levels = pinball_case(61, 3, 5)
+    q = Tensor(q, requires_grad=True)
+    with T.no_grad():
+        loss = T.masked_pinball(q, targets, mask, levels)
+    assert not loss.requires_grad and loss._rules == ()
+    want = pinball_oracle(Tensor(q.data), targets, mask, levels)
+    assert np.asarray(loss.data).tobytes() == np.asarray(want.data).tobytes()
+
+
+def test_pinball_rejects_bad_shapes():
+    q, targets, mask, levels = pinball_case(62, 3, 5)
+    q = Tensor(q)
+    with pytest.raises(DimensionError):
+        T.masked_pinball(q, targets[:2], mask[:2], levels)       # rows
+    with pytest.raises(DimensionError):
+        T.masked_pinball(q, targets, mask[:, :3], levels)        # mask vs targets
+    with pytest.raises(DimensionError):
+        T.masked_pinball(q, targets, mask, levels[:4])           # levels vs Q
+    with pytest.raises(DimensionError):
+        T.masked_pinball(Tensor(np.zeros(())), np.zeros(()), np.ones(()), levels)
+
+
+def test_masked_quantile_loss_is_one_pinball_node():
+    q, targets, mask, levels = pinball_case(63, 3, 5)
+    q = Tensor(q, requires_grad=True)
+    loss, n_valid = L.masked_quantile_loss(q, targets, mask, levels)
+    assert n_valid == mask.sum()
+    assert [(p, fn.__qualname__) for p, fn in loss._rules] == [(q, "masked_pinball.<locals>.bw")]
+
+
+def test_ts_train_step_builds_one_pinball_node(monkeypatch):
+    cfg = M.ModelConfig(n_layers=1, d_model=8, n_q_heads=2, n_kv_heads=1, head_dim=4,
+                        patch_len=2, n_quantiles=3, vocab_size=32, max_seq=16)
+    trainer = training.Trainer(cfg, seed=0)
+    rng = np.random.default_rng(64)
+    batch = data.build_ts_batch(lambda: codec.RawSeries(rng.normal(size=9).cumsum()),
+                                12, 2, cfg.patch_len)
+    rules = []
+    backward = Tensor.backward
+
+    def census(loss):
+        seen, stack = set(), [loss]
+        while stack:
+            node = stack.pop()
+            if id(node) not in seen:
+                seen.add(id(node))
+                rules.extend(fn.__qualname__.split(".")[0] for _, fn in node._rules[:1])
+                stack.extend(parent for parent, _ in node._rules)
+        backward(loss)
+
+    monkeypatch.setattr(Tensor, "backward", census)
+    trainer.train_step(batch, 1.0, 1.0, 2.5)
+    assert rules.count("masked_pinball") == 1
+    assert "maximum" not in rules and "add_const" not in rules

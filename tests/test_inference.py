@@ -89,7 +89,7 @@ def test_forecast_incremental_equals_full_recompute():
         for step in range(2):
             inputs = M.Inputs(np.full((1, len(feats)), M.PATCH), feats)
             hidden = M.forward_hidden(params, cfg, inputs)
-            last = T.Tensor(hidden.data[0, -1:])
+            last = T.Tensor(hidden.data[-1:])
             q_hat = losses.quantile_head(params, cfg, last).data[0]
             q_sorted = np.sort(q_hat, axis=-1)
             collected.append(q_sorted)
@@ -179,7 +179,8 @@ def test_forecast_series_incremental_equals_full_recompute():
                                   np.full(feats.shape[:2], M.PATCH)], axis=1)
             hidden = M.forward_hidden(params, cfg,
                                       M.Inputs(ids, feats.reshape(-1, 4 * P)))
-            q_hat = losses.quantile_head(params, cfg, T.Tensor(hidden.data[:, -1])).data
+            last = hidden.data.reshape(ids.shape + (cfg.d_model,))[:, -1]
+            q_hat = losses.quantile_head(params, cfg, T.Tensor(last)).data
             q_sorted = np.sort(q_hat, axis=-1)
             collected.append(q_sorted)
             nxt = inference._generated_patch_features(
@@ -242,7 +243,7 @@ def test_single_position_embedding_is_that_state():
     with T.no_grad():
         hidden = M.forward_hidden(params, cfg, M.Inputs(np.array([[7]])))
     emb = inference.extract_embedding(params, cfg, text_ids=[7])
-    assert np.allclose(emb, hidden.data[0, 0])
+    assert np.allclose(emb, hidden.data[0])
 
 
 def test_embedding_mixed_inputs():

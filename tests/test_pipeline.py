@@ -5,7 +5,7 @@ import pytest
 
 from patchlm import bpe, codec, data, synth, training
 from patchlm import model as M
-from patchlm.errors import ConfigError
+from patchlm.errors import ConfigError, NumericError
 from patchlm.optim import Schedule
 
 
@@ -245,6 +245,29 @@ def test_all_masked_batch_no_update(vocab):
     assert metrics["combined"] == 0.0
     for k in before:
         assert trainer.params[k].data.tobytes() == before[k].tobytes()
+
+
+def test_nan_loss_raises_before_any_update(vocab):
+    cfg = tiny_config()
+    trainer = training.Trainer(cfg, seed=5)
+    sources = make_sources(vocab, cfg)
+    for _ in range(3):   # non-trivial optimizer buffers
+        trainer.train_step(data.build_ts_batch(lambda: sources.ts_source(trainer.rng), 12, 2,
+                                               cfg.patch_len), 1.0, 1.0, 2.5)
+    batch = data.build_ts_batch(lambda: sources.ts_source(trainer.rng), 12, 2, cfg.patch_len)
+    valid = np.argwhere(batch.ts_mask > 0)[0]
+    batch.ts_targets[tuple(valid)] = np.nan            # a NaN target under the mask
+
+    def state():
+        return ({k: v.data.tobytes() for k, v in trainer.params.items()},
+                {k: v.tobytes() for k, v in trainer.optimizer.state_tensors().items()},
+                trainer.optimizer.t, trainer.step)
+
+    before = state()
+    with pytest.raises(NumericError, match=r"^step 4 \(ts batch\): loss is not finite"):
+        trainer.train_step(batch, 1.0, 1.0, 2.5)
+    assert state() == before
+    assert all(p.grad is None for p in trainer.params.values())
 
 
 def test_text_step_leaves_ts_params_untouched(vocab):

@@ -172,6 +172,21 @@ def test_no_grad_builds_no_graph():
     assert not y.requires_grad and y._rules == ()
 
 
+@pytest.mark.parametrize("wrong", ["shape", "dtype"])
+def test_backward_rejects_a_gradient_unlike_its_parent(wrong):
+    x = T.Tensor(np.ones((2, 3), dtype=np.float32), requires_grad=True)
+
+    def bad_rule(g):
+        if wrong == "shape":
+            return np.ones((3, 2), dtype=np.float32)
+        return np.ones((2, 3), dtype=np.float64)
+
+    node = T._make(x.data * 2.0, [(x, bad_rule)])
+    with pytest.raises(DimensionError, match="bad_rule"):
+        T.tsum(node).backward()
+    assert x.grad is None
+
+
 def test_grad_check_rejects_float32():
     x = T.Tensor(np.ones(2, dtype=np.float32), requires_grad=True)
     with pytest.raises(NumericError):
