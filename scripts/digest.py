@@ -25,7 +25,11 @@ The map covers:
   fixed float32 inputs with partial masks, NaN targets under the mask,
   exact ties and a row with one valid entry: the q_hat gradient at Q = 1,
   5 and 21, and through the quantile head its weight, norm and row
-  gradients.
+  gradients;
+- ``attn.*``: the output of ``tensor.causal_gqa_attention`` and its q, k
+  and v gradients, in float32 on fixed inputs at 129, 256 and 300 queries
+  from position 0 and for a 150-query chunk after 100 cached keys, so
+  passes longer than one 128-row query tile show too.
 
 Two trees that print the same map compute the same bits for all of these.
 It runs in a few seconds.
@@ -46,6 +50,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from patchlm import bpe, codec, data, inference, losses, training  # noqa: E402
 from patchlm import model as M  # noqa: E402
+from patchlm import tensor as T  # noqa: E402
 from patchlm.optim import Schedule  # noqa: E402
 from patchlm.tensor import Tensor  # noqa: E402
 
@@ -165,6 +170,21 @@ def qloss_digests(out: dict) -> None:
     out["qloss.head.drows"] = digest(rows.grad)
 
 
+def attention_digests(out: dict) -> None:
+    rng = np.random.default_rng(29)
+    for S, offset in ((129, 0), (256, 0), (300, 0), (150, 100)):
+        q, k, v = (Tensor(rng.normal(size=(2, heads, n, 16)).astype(np.float32),
+                          requires_grad=True)
+                   for heads, n in ((4, S), (2, offset + S), (2, offset + S)))
+        ctx = T.causal_gqa_attention(q, k, v, offset)
+        probe = Tensor(rng.normal(size=ctx.shape).astype(np.float32))
+        T.tsum(T.mul(ctx, probe)).backward()
+        name = f"attn.S{S}.off{offset}"
+        out[f"{name}.out"] = digest(ctx.data)
+        for x, part in ((q, "dq"), (k, "dk"), (v, "dv")):
+            out[f"{name}.{part}"] = digest(x.grad)
+
+
 RUNS = {
     "text": dict(text_prob=1.0),
     "ts": dict(text_prob=0.0),
@@ -237,6 +257,7 @@ def main() -> None:
     out: dict = {}
     patch_digests(out)
     qloss_digests(out)
+    attention_digests(out)
     batch_digests(vocab, out)
     trained = training_digests(vocab, out)
     inference_digests(trained["interleaved", 16], out)

@@ -16,6 +16,11 @@ values are fixed module constants, not settings.
 A tensor with no gradient on a step (the quantile head on a text-only
 step) is left as it is, but AdamW's bias correction at its next update
 uses the global step count ``t``, not the number of its own updates.
+
+``Optimizer.step`` checks every gradient before it changes anything: a
+NaN or infinite entry raises ``NumericError`` naming the first such tensor
+in update order, and leaves the parameters, the optimizer buffers and
+``t`` as they were.
 """
 
 from __future__ import annotations
@@ -154,7 +159,15 @@ class Optimizer:
         self.t = 0
 
     def step(self, lr_mult: float = 1.0) -> None:
-        """Apply one update using current grads; params without grads are skipped."""
+        """Apply one update using current grads; params without grads are skipped.
+
+        A non-finite gradient raises ``NumericError`` before any update.
+        """
+        for names in self.groups.values():
+            for name in names:
+                g = self.params[name].grad
+                if g is not None and not np.isfinite(g).all():
+                    raise NumericError(f"non-finite gradient in {name}")
         self.t += 1
         for name in self.groups["muon"]:
             p = self.params[name]

@@ -20,8 +20,8 @@ Five fused ops carry the hot paths of a train step:
   loss is terminal, so the forward pass also computes the row and table
   gradients; its backward rules only scale them.
 * ``causal_gqa_attention`` -- grouped-query causal attention with the mask
-  and scale built in and no K/V copies.  Its backward reuses the saved
-  probabilities.
+  and scale built in and no K/V copies, walked in tiles of 128 query rows.
+  Its backward reuses the saved probabilities.
 * ``rope`` -- the rotary position embedding of q and k as one node; its
   backward is the inverse rotation.
 * ``swiglu_mlp`` -- a block's SwiGLU MLP as one node, with the same float
@@ -36,6 +36,14 @@ mask, the sum, then the float32 scale ``1 / (Q sum(mask))``.  So the loss
 and every gradient keep their bits, down to the -0 of each zero entry of
 the q gradient.  It holds one [..., Q] slope instead of six [..., Q]
 values.
+
+The attention tile of query rows [s0, s1) scores only the keys
+[0, offset + s1) and masks only its diagonal block, so at S = 512 the node
+saves the lower triangle of the scores (5/8 of S x T) and computes no more.
+A pass of at most 128 queries (every decode step, every S <= 128 training
+pass) is one tile and runs the float ops of the untiled op in its order,
+so its output and gradients keep their bits; a longer pass sums dk and dv
+over the tiles, which changes their last bits.
 
 Attention and the MLP each need one computation for all of their parents'
 gradients.  Both build their node with ``_make_joint``, which runs that
@@ -501,42 +509,79 @@ def softcapped_cross_entropy(rows: Tensor, table: Tensor, targets: np.ndarray,
                         (table, lambda g: float(g) * d_table)])
 
 
+_ATTN_TILE_ROWS = 128        # query rows per causal_gqa_attention tile
+_ATTN_HIDDEN = ~np.tri(_ATTN_TILE_ROWS, dtype=bool)   # [:n, :n] masks a tile's diagonal block
+
+
 def causal_gqa_attention(q: Tensor, k: Tensor, v: Tensor, offset: int) -> Tensor:
     """Causal grouped-query attention ``softmax(q k^T / sqrt(hd) + mask) v``.
 
     ``q`` is [B, Hq, S, hd] at positions offset..offset+S-1; ``k`` and ``v``
     are [B, Hkv, offset+S, hd].  Query head h reads kv head h // (Hq/Hkv),
-    so q is regrouped to [B, Hkv, g*S, hd] and K/V are never copied.  The
-    causal mask and the 1/sqrt(hd) scale are applied here.  The backward
-    reuses the saved probabilities and forms dS once for all of q, k and v.
+    so q is viewed as [B, Hkv, g, S, hd] and K/V are never copied.  The
+    causal mask and the 1/sqrt(hd) scale are applied here.
+
+    The queries go through in tiles of 128 rows.  The tile of rows
+    [s0, s1) takes those rows of all g heads of a group, scores only the
+    keys [0, offset + s1) it can see, and masks only its diagonal n x n
+    block.  It keeps its own probabilities, so the node holds the lower
+    triangle of the scores, not all S x T of them.  The backward walks the
+    same tiles, forms dS once per tile for q, k and v, writes that tile's
+    dq and adds dk and dv over its key prefix.  A pass of at most 128
+    queries is one tile and runs the float ops of the untiled op in its
+    order, so its bits do not depend on the tiling.
     """
     B, n_q, S, hd = q.shape
     if k.ndim != 4 or k.shape != v.shape or k.shape[0] != B or k.shape[3] != hd:
         raise DimensionError(f"causal_gqa_attention: q {q.shape}, k {k.shape}, v {v.shape}")
     n_kv, total = k.shape[1], k.shape[2]
-    if n_q % n_kv != 0 or offset < 0 or offset + S != total:
+    if n_q % n_kv != 0 or S < 1 or offset < 0 or offset + S != total:
         raise DimensionError(
             f"causal_gqa_attention: {n_q} q heads over {n_kv} kv heads, "
             f"offset {offset} + {S} queries vs {total} keys")
     group = n_q // n_kv
     scale = q.data.dtype.type(1.0 / np.sqrt(hd))
-    qs = q.data.reshape(B, n_kv, group * S, hd) * scale
-    hidden = np.arange(total)[None, :] > (offset + np.arange(S))[:, None]
-    p = qs @ k.data.swapaxes(-1, -2)                          # [B, Hkv, g*S, T]
-    np.copyto(p, -np.inf, where=np.tile(hidden, (group, 1)))
-    p -= p.max(axis=-1, keepdims=True)         # key 0 is always visible: finite
-    np.exp(p, out=p)
-    p /= p.sum(axis=-1, keepdims=True)
-    out = p @ v.data                                          # [B, Hkv, g*S, hd]
+    qs = q.data.reshape(B, n_kv, group, S, hd) * scale
+    tiles = [(s0, min(s0 + _ATTN_TILE_ROWS, S)) for s0 in range(0, S, _ATTN_TILE_ROWS)]
+
+    def rows(a: np.ndarray, s0: int, s1: int) -> np.ndarray:
+        """A tile's query rows of a [B, Hkv, g, S, hd] array: [B, Hkv, g*n, hd]."""
+        return a[:, :, :, s0:s1].reshape(B, n_kv, group * (s1 - s0), hd)
+
+    out = np.empty_like(qs)
+    probs = []
+    for s0, s1 in tiles:
+        n, seen = s1 - s0, offset + s1
+        p = rows(qs, s0, s1) @ k.data[:, :, :seen].swapaxes(-1, -2)   # [B, Hkv, g*n, seen]
+        np.copyto(p.reshape(B, n_kv, group, n, seen)[..., seen - n:], -np.inf,
+                  where=_ATTN_HIDDEN[:n, :n])
+        p -= p.max(axis=-1, keepdims=True)     # key 0 is always visible: finite
+        np.exp(p, out=p)
+        p /= p.sum(axis=-1, keepdims=True)
+        out[:, :, :, s0:s1] = (p @ v.data[:, :, :seen]).reshape(B, n_kv, group, n, hd)
+        probs.append(p)
 
     def grads(g: np.ndarray) -> tuple[np.ndarray, ...]:
-        go = g.reshape(out.shape)
-        dv = p.swapaxes(-1, -2) @ go
-        ds = go @ v.data.swapaxes(-1, -2)
-        ds -= (go * out).sum(axis=-1, keepdims=True)
-        ds *= p
-        dq = (ds @ k.data) * scale
-        return dq.reshape(q.shape), ds.swapaxes(-1, -2) @ qs, dv
+        go = g.reshape(qs.shape)
+        dq = np.empty_like(qs)
+        dk = dv = None
+        # the last tile sees every key, so it sets dk and dv and the others add in
+        for (s0, s1), p in zip(reversed(tiles), reversed(probs)):
+            seen = offset + s1
+            go_t, k_t, v_t = rows(go, s0, s1), k.data[:, :, :seen], v.data[:, :, :seen]
+            dv_t = p.swapaxes(-1, -2) @ go_t
+            ds = go_t @ v_t.swapaxes(-1, -2)
+            ds -= (go_t * rows(out, s0, s1)).sum(axis=-1, keepdims=True)
+            ds *= p
+            np.multiply((ds @ k_t).reshape(B, n_kv, group, s1 - s0, hd), scale,
+                        out=dq[:, :, :, s0:s1])
+            dk_t = ds.swapaxes(-1, -2) @ rows(qs, s0, s1)
+            if dk is None:
+                dk, dv = dk_t, dv_t
+            else:
+                dk[:, :, :seen] += dk_t
+                dv[:, :, :seen] += dv_t
+        return dq.reshape(q.shape), dk, dv
 
     return _make_joint(out.reshape(q.shape), (q, k, v), grads)
 

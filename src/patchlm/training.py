@@ -162,7 +162,11 @@ class Trainer:
                                f"finite (ce {ce.item()}, ql {ql.item()})")
         if loss.requires_grad:
             loss.backward()
-            self.optimizer.step(lr_mult)
+            try:
+                self.optimizer.step(lr_mult)
+            except NumericError as exc:   # a non-finite gradient: nothing was updated
+                raise NumericError(
+                    f"step {self.step + 1} ({batch.modality} batch): {exc}") from exc
         self.optimizer.zero_grad()
         self.step += 1
         self.tokens_seen += B * S

@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import re
 import shutil
 import struct
 
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from patchlm import bpe, checkpoint, codec
 from patchlm import model as M
 from patchlm.cli import dispatch
+from patchlm.optim import Optimizer
 
 
 @pytest.fixture()
@@ -119,6 +121,21 @@ out_dir = "run_out"
 synth_length = 48
 align_length = 16
 """)
+
+
+def test_train_nonfinite_gradient_exit_4(workdir, capsys, monkeypatch):
+    _write_training_fixture(workdir)
+    step = Optimizer.step
+
+    def nan_on_third_step(self, lr_mult=1.0):
+        if self.t == 2:   # a finite loss whose final_norm gradient is NaN
+            self.params["final_norm"].grad[:] = np.nan
+        step(self, lr_mult)
+
+    monkeypatch.setattr(Optimizer, "step", nan_on_third_step)
+    assert run("train", "--config", "run.toml") == 4
+    assert re.fullmatch(r"numeric failure: step 3 \((text|ts|interleaved) batch\): "
+                        r"non-finite gradient in final_norm\n", capsys.readouterr().err)
 
 
 def test_train_forecast_embed_probe_eval_end_to_end(workdir):

@@ -6,6 +6,8 @@ causal mask -> softmax -> weighted values for attention, one [hd, hd]
 matrix of 2x2 rotation blocks per position for RoPE, three matmuls
 around a tanh-form sigmoid for the SwiGLU MLP, and for the masked pinball
 loss the eight-node chain ``losses.masked_quantile_loss`` used to build.
+The tiled attention op is also checked against the untiled op it
+replaced, which scored every query row against all keys under one mask.
 """
 
 import gc
@@ -46,6 +48,34 @@ def attention_oracle(q, k, v, offset):
     masked = T.add_const(scores, np.where(hidden, -np.inf, 0.0))
     att = T.texp(T.log_softmax(masked))
     return T.matmul(att, v_exp)
+
+
+def full_attention_oracle(q, k, v, offset):
+    """The untiled op: all g*S query rows of a group score all T keys under
+    one [g*S, T] causal mask, and the backward reuses all S x T probabilities."""
+    B, n_q, S, hd = q.shape
+    n_kv, total = k.shape[1], k.shape[2]
+    group = n_q // n_kv
+    scale = q.data.dtype.type(1.0 / np.sqrt(hd))
+    qs = q.data.reshape(B, n_kv, group * S, hd) * scale
+    hidden = np.arange(total)[None, :] > (offset + np.arange(S))[:, None]
+    p = qs @ k.data.swapaxes(-1, -2)                          # [B, Hkv, g*S, T]
+    np.copyto(p, -np.inf, where=np.tile(hidden, (group, 1)))
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    out = p @ v.data                                          # [B, Hkv, g*S, hd]
+
+    def grads(g):
+        go = g.reshape(out.shape)
+        dv = p.swapaxes(-1, -2) @ go
+        ds = go @ v.data.swapaxes(-1, -2)
+        ds -= (go * out).sum(axis=-1, keepdims=True)
+        ds *= p
+        dq = (ds @ k.data) * scale
+        return dq.reshape(q.shape), ds.swapaxes(-1, -2) @ qs, dv
+
+    return T._make_joint(out.reshape(q.shape), (q, k, v), grads)
 
 
 def rope_oracle(x, cos, sin):
@@ -240,27 +270,91 @@ def test_attention_masks_future_keys():
     assert np.allclose(ones, 1.0, atol=1e-12)
 
 
-def test_attention_second_backward_sees_fresh_gradient():
-    q, k, v, probe = attn_case(14, 3, 2)
-    other = Tensor(np.random.default_rng(15).normal(size=probe.shape))
-    out = T.causal_gqa_attention(q, k, v, 2)
+def check_second_backward_sees_fresh_gradient(seed, S, offset):
+    q, k, v, probe = attn_case(seed, S, offset)
+    other = Tensor(np.random.default_rng(seed + 1).normal(size=probe.shape))
+    out = T.causal_gqa_attention(q, k, v, offset)
     first = leaf_grads(T.tsum(T.mul(out, probe)), [q, k, v])
     second = leaf_grads(T.tsum(T.mul(out, other)), [q, k, v])
-    oracle = attention_oracle(q, k, v, 2)
+    oracle = attention_oracle(q, k, v, offset)
     want = leaf_grads(T.tsum(T.mul(oracle, other)), [q, k, v])
     for a, b, c in zip(second, want, first):
         assert np.abs(a - b).max() <= 1e-12
         assert not np.allclose(a, c)
 
 
-def test_attention_backward_twice_accumulates_exactly_double():
-    q, k, v, probe = attn_case(16, 4, 0)
-    loss = T.tsum(T.mul(T.causal_gqa_attention(q, k, v, 0), probe))
+def check_backward_twice_accumulates_exactly_double(seed, S, offset):
+    q, k, v, probe = attn_case(seed, S, offset)
+    loss = T.tsum(T.mul(T.causal_gqa_attention(q, k, v, offset), probe))
     loss.backward()
     once = [x.grad.copy() for x in (q, k, v)]
     loss.backward()
     for x, g in zip((q, k, v), once):
         assert np.array_equal(x.grad, 2.0 * g)
+
+
+def test_attention_second_backward_sees_fresh_gradient():
+    check_second_backward_sees_fresh_gradient(14, 3, 2)
+
+
+def test_attention_backward_twice_accumulates_exactly_double():
+    check_backward_twice_accumulates_exactly_double(16, 4, 0)
+
+
+# (S, offset) across the 128-row query tiles: one row, one row short of a
+# tile, one tile, one row over, two tiles and a part, and a prefill chunk
+# after 37 cached keys whose queries straddle the first tile edge
+TILE_CASES = [(1, 0), (127, 0), (128, 0), (129, 0), (300, 0), (150, 37)]
+MULTI_TILE_CASES = [(129, 0), (150, 37)]
+
+
+def raw_grads(out, g):
+    """The gradients the op's rules hand q, k and v for the output gradient g."""
+    return [fn(g) for _, fn in out._rules]
+
+
+@pytest.mark.parametrize("S,offset", TILE_CASES)
+def test_tiled_attention_matches_the_untiled_op(S, offset):
+    q, k, v, probe = attn_case(19, S, offset, hd=8)
+    tiled = T.causal_gqa_attention(q, k, v, offset)
+    full = full_attention_oracle(q, k, v, offset)
+    assert np.abs(tiled.data - full.data).max() <= 1e-12
+    for a, b in zip(raw_grads(tiled, probe.data), raw_grads(full, probe.data)):
+        assert np.abs(a - b).max() <= 1e-12
+
+
+def test_attention_float32_bytes_equal_the_untiled_op_within_one_tile():
+    # every pass of at most 128 queries (all of criterion 8's runs, every
+    # decode step) keeps the untiled op's bytes, output and gradients alike
+    rng = np.random.default_rng(20)
+    for S, offset in [(S, 0) for S in range(1, 129)] + [(1, 200), (40, 37), (128, 300)]:
+        q, k, v = (Tensor(rng.normal(size=(2, heads, n, 16)).astype(np.float32),
+                          requires_grad=True)
+                   for heads, n in ((4, S), (2, offset + S), (2, offset + S)))
+        g = rng.normal(size=q.shape).astype(np.float32)
+        tiled = T.causal_gqa_attention(q, k, v, offset)
+        full = full_attention_oracle(q, k, v, offset)
+        assert tiled.data.tobytes() == full.data.tobytes(), (S, offset)
+        for a, b in zip(raw_grads(tiled, g), raw_grads(full, g)):
+            assert a.dtype == b.dtype == np.float32
+            assert a.tobytes() == b.tobytes(), (S, offset)
+
+
+@pytest.mark.parametrize("S,offset", MULTI_TILE_CASES)
+def test_attention_grad_check_across_tiles(S, offset):
+    q, k, v, probe = attn_case(21, S, offset)
+    assert_fd(lambda: T.tsum(T.mul(T.causal_gqa_attention(q, k, v, offset), probe)),
+              [("q", q), ("k", k), ("v", v)])
+
+
+@pytest.mark.parametrize("S,offset", MULTI_TILE_CASES)
+def test_attention_second_backward_across_tiles(S, offset):
+    check_second_backward_sees_fresh_gradient(22, S, offset)
+
+
+@pytest.mark.parametrize("S,offset", MULTI_TILE_CASES)
+def test_attention_backward_twice_across_tiles(S, offset):
+    check_backward_twice_accumulates_exactly_double(24, S, offset)
 
 
 def test_attention_no_grad_builds_no_graph():
@@ -277,6 +371,8 @@ def test_attention_rejects_bad_shapes():
         T.causal_gqa_attention(q, k, v, 1)          # offset + S must equal key count
     with pytest.raises(DimensionError):
         T.causal_gqa_attention(q, k, Tensor(v.data[:, :1]), 0)
+    with pytest.raises(DimensionError):                # no queries
+        T.causal_gqa_attention(Tensor(q.data[:, :, :0]), k, v, 3)
 
 
 # ---------------------------------------------------------------------

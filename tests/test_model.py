@@ -313,6 +313,34 @@ def test_kv_cache_matches_full_recompute():
     assert cache.length == 7
 
 
+def test_kv_cache_matches_full_recompute_across_query_tiles():
+    """A 100-position prefill, a 150-position chunk (two query tiles after
+    100 cached keys) and decode steps to position 260 give each position
+    the rows of one full 260-position pass."""
+    cfg = tiny_config(n_layers=2, max_seq=512)
+    params = M.init_params(cfg, seed=10)
+    rng = np.random.default_rng(6)
+    for name, p in params.items():
+        if p.data.ndim == 2 and not p.data.any():
+            p.data[:] = rng.normal(0, 0.2, size=p.shape).astype(np.float32)
+    inputs = random_inputs(rng, cfg, 260)
+    patch_row = np.cumsum(inputs.ids[0] == M.PATCH) - 1
+
+    def piece(s0, s1):
+        ids = inputs.ids[:, s0:s1]
+        rows = patch_row[s0:s1][ids[0] == M.PATCH]
+        return M.Inputs(ids, inputs.patches[rows])
+
+    edges = [0, 100, 250] + list(range(251, 261))
+    with T.no_grad():
+        full = M.forward_hidden(params, cfg, inputs).data
+        cache = M.KVCache(cfg)
+        inc = np.concatenate([M.forward_hidden(params, cfg, piece(s0, s1), cache=cache).data
+                              for s0, s1 in zip(edges, edges[1:])])
+    assert cache.length == 260
+    assert np.abs(inc - full).max() <= 1e-5
+
+
 def test_kv_cache_rejects_training_graph():
     cfg = tiny_config()
     params = M.init_params(cfg, seed=9)

@@ -69,6 +69,36 @@ def test_ns_nonfinite_rejected():
         O.newton_schulz(np.ones(3))
 
 
+@pytest.mark.parametrize("name,bad", [("final_norm", np.nan), ("tok_emb", -np.inf),
+                                      ("blocks.1.w3", np.nan)])
+def test_nonfinite_gradient_raises_before_any_update(name, bad):
+    # two AdamW tensors, and a Muon matrix after nine others whose updates
+    # the check must also hold back
+    cfg = tiny_config()
+    params = M.init_params(cfg, seed=3)
+    opt = O.Optimizer(params, cfg)
+    rng = np.random.default_rng(4)
+
+    def fill_grads():
+        for p in params.values():
+            p.grad = rng.normal(size=p.shape).astype(np.float32)
+
+    for _ in range(3):   # non-trivial buffers and t
+        fill_grads()
+        opt.step()
+    fill_grads()
+    params[name].grad.flat[0] = bad
+
+    def state():
+        return ({k: p.data.tobytes() for k, p in params.items()},
+                {k: a.tobytes() for k, a in opt.state_tensors().items()}, opt.t)
+
+    before = state()
+    with pytest.raises(NumericError, match=rf"^non-finite gradient in {name}$"):
+        opt.step()
+    assert state() == before
+
+
 # -- muon ----------------------------------------------------------------
 
 def test_muon_no_grad_no_change():

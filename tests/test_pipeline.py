@@ -6,7 +6,7 @@ import pytest
 from patchlm import bpe, codec, data, synth, training
 from patchlm import model as M
 from patchlm.errors import ConfigError, NumericError
-from patchlm.optim import Schedule
+from patchlm.optim import Optimizer, Schedule
 
 
 def tiny_config(**kw):
@@ -268,6 +268,27 @@ def test_nan_loss_raises_before_any_update(vocab):
         trainer.train_step(batch, 1.0, 1.0, 2.5)
     assert state() == before
     assert all(p.grad is None for p in trainer.params.values())
+
+
+def test_nonfinite_gradient_raises_with_step_and_modality(vocab, monkeypatch):
+    cfg = tiny_config()
+    trainer = training.Trainer(cfg, seed=5)
+    sources = make_sources(vocab, cfg)
+    for _ in range(2):
+        trainer.train_step(data.build_text_batch(sources.text_stream, 12, 2), 1.0, 1.0, 2.5)
+    step = Optimizer.step
+
+    def nan_in_final_norm(self, lr_mult=1.0):
+        self.params["final_norm"].grad[0] = np.nan   # a finite loss, a NaN gradient
+        step(self, lr_mult)
+
+    monkeypatch.setattr(Optimizer, "step", nan_in_final_norm)
+    before = {k: v.data.tobytes() for k, v in trainer.params.items()}
+    with pytest.raises(NumericError,
+                       match=r"^step 3 \(text batch\): non-finite gradient in final_norm$"):
+        trainer.train_step(data.build_text_batch(sources.text_stream, 12, 2), 1.0, 1.0, 2.5)
+    assert {k: v.data.tobytes() for k, v in trainer.params.items()} == before
+    assert (trainer.optimizer.t, trainer.step) == (2, 2)
 
 
 def test_text_step_leaves_ts_params_untouched(vocab):
