@@ -10,17 +10,19 @@ field takes an int but not a bool, a float field an int or a float) or
 that the config's own checks reject, with the section and key named.
 
 A run is identified by ``run_identity``: a hash of the command, the
-seed, the code version and its settings, in which every ``InputPath``
-(a file the run reads, such as a CLI input flag or a ``[data]`` path)
-stands for the SHA-256 of its content.  ``write_manifest`` records that
-hash with the input and output digests.
+seed, the package source (``code_digest``) and its settings, in which every
+``InputPath`` (a file the run reads, such as a CLI input flag or a
+``[data]`` path) stands for the SHA-256 of its content.  ``write_manifest``
+records that hash and the code digest with the input and output digests.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
+import pathlib
 import tomllib
 import typing
 from dataclasses import dataclass, field
@@ -137,11 +139,24 @@ def file_digest(path: str) -> str:
     return h.hexdigest()
 
 
+@functools.cache
+def code_digest() -> str:
+    """SHA-256 of the sorted (file name, bytes) pairs of the package's
+    ``*.py`` files, computed once per process.  Any edit to the source, a
+    comment included, changes it: the safe side for a run identity."""
+    h = hashlib.sha256()
+    for path in sorted(pathlib.Path(__file__).parent.glob("*.py")):
+        body = path.read_bytes()
+        h.update(f"{path.name}\0{len(body)}\0".encode())
+        h.update(body)
+    return h.hexdigest()
+
+
 def run_identity(command: str, config: Any,
                  seed: Optional[int]) -> tuple[str, dict[str, Optional[str]]]:
     """(config hash, {input path: SHA-256}) of a run.
 
-    The hash covers the command, the seed, the code version and ``config``
+    The hash covers the command, the seed, ``code_digest()`` and ``config``
     (dataclasses, dicts, lists and scalars) with every InputPath in it
     replaced by the SHA-256 of its file, so the same input contents under
     other names give the same hash.  A file that cannot be read counts as
@@ -166,7 +181,7 @@ def run_identity(command: str, config: Any,
         return obj
 
     blob = json.dumps({"command": command, "config": canonical(config),
-                       "seed": seed, "version": __version__},
+                       "seed": seed, "code": code_digest()},
                       sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest(), inputs
 
@@ -180,6 +195,7 @@ def write_manifest(path: str, command: str, config_hash: str, seed: Optional[int
         "config_hash": config_hash,
         "seed": seed,
         "code_version": __version__,
+        "code_digest": code_digest(),
         "wall_clock_s": round(wall_clock_s, 3),
         "inputs": inputs,
         "outputs": {p: file_digest(p) for p in outputs},

@@ -6,6 +6,8 @@ import os
 import re
 import shutil
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 from patchlm import bpe, checkpoint, codec
+from patchlm import config as cfgmod
 from patchlm import model as M
 from patchlm.cli import dispatch
 from patchlm.optim import Optimizer
@@ -900,3 +903,26 @@ def test_train_config_float_field_takes_an_int(workdir):
     (workdir / "int.toml").write_text(
         _with_value((workdir / "run.toml").read_text(), "stage1", "w_ts", "1"))
     assert run("--seed", "1", "train", "--config", "int.toml", "--stage", "1") == 0
+
+
+def _synth_manifest_under(package_copy, out):
+    env = dict(os.environ, PYTHONPATH=str(package_copy))
+    done = subprocess.run([sys.executable, "-m", "patchlm", "synth", "generate", "--n", "1",
+                           "--len", "16", "--out", out], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return _manifest(out + ".manifest.json")
+
+
+def test_hash_covers_package_source(workdir):
+    package = os.path.dirname(os.path.abspath(cfgmod.__file__))
+    for name in ("a", "b", "c"):
+        shutil.copytree(package, workdir / name / "patchlm",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+    edited = workdir / "c" / "patchlm" / "errors.py"
+    edited.write_bytes(edited.read_bytes() + b"\n")  # one byte, same program
+    a, b, c = (_synth_manifest_under(workdir / name, f"{name}.jsonl") for name in "abc")
+    assert a["config_hash"] == b["config_hash"] and a["code_digest"] == b["code_digest"]
+    assert c["config_hash"] != a["config_hash"] and c["code_digest"] != a["code_digest"]
+    assert c["outputs"]["c.jsonl"] == a["outputs"]["a.jsonl"]
+    assert a["code_digest"] == cfgmod.code_digest()

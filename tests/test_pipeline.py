@@ -1,4 +1,6 @@
 import json
+import platform
+import resource
 
 import numpy as np
 import pytest
@@ -439,3 +441,20 @@ def test_missing_sources_raise(vocab):
     stage = training.StageConfig(text_prob=1.0)
     with pytest.raises(ConfigError):
         trainer.next_batch(stage, training.DataSources())
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="needs glibc's mallopt")
+def test_steady_text_step_takes_no_page_faults():
+    # the bench's text step: the default model, 4 rows of 256 tokens; at
+    # glibc's default malloc settings each step faults about 10k pages in
+    cfg = M.ModelConfig()
+    ids = np.random.default_rng(0).integers(0, cfg.vocab_size, 1 << 14)
+    stream = data.TokenStream(ids)
+    trainer = training.Trainer(cfg, seed=0)
+    faults = []
+    for _ in range(3):
+        batch = data.build_text_batch(stream, 256, 4)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        trainer.train_step(batch, 1e-3, 1.0, 1.0)
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    assert faults[-1] < 500, faults

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -224,3 +228,42 @@ def test_random_composite_graphs_match_fd(seed, m, n):
     h, tol = 1e-6, 1e-5
     floor = max(1e-6, 16 * np.finfo(np.float64).eps * abs(float(loss().data)) / (h * tol))
     fd_check(loss, [("a", a), ("b", b), ("scale", scale)], tol=tol, h=h, rel_floor=floor)
+
+
+class _LibcWithoutMallopt:
+    def __init__(self):
+        self.looked_up = []
+
+    def __getattr__(self, name):
+        self.looked_up.append(name)
+        raise AttributeError(name)
+
+
+def test_keep_freed_pages_mapped_is_a_no_op_without_mallopt(monkeypatch):
+    libc = _LibcWithoutMallopt()
+    opened = []
+    monkeypatch.setattr(T.ctypes, "CDLL", lambda name: opened.append(name) or libc)
+    assert T._keep_freed_pages_mapped() is None
+    assert opened == [None] and libc.looked_up == ["mallopt"]
+
+    def no_libc(name):
+        raise OSError("cannot open the running process")
+
+    monkeypatch.setattr(T.ctypes, "CDLL", no_libc)
+    assert T._keep_freed_pages_mapped() is None
+
+
+@pytest.mark.parametrize("patch", ["", "ctypes.CDLL = no_libc"], ids=["libc", "no_libc"])
+def test_tensor_reimport_is_safe(patch):
+    # reloading in this process would replace the Tensor class under every
+    # other module, so the re-import runs in a child process
+    code = ("import ctypes, importlib\nimport numpy\n"
+            "def no_libc(name):\n    raise OSError(name)\n"
+            f"{patch}\nimport patchlm.tensor as T\nimportlib.reload(T)\n"
+            "print(T.matmul(T.Tensor([[2.0]]), T.Tensor([[3.0]])).item())\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(T.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "6.0"
