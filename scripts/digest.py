@@ -32,11 +32,15 @@ The map covers:
   passes longer than one 128-row query tile show too.
 
 Two trees that print the same map compute the same bits for all of these.
-It runs in a few seconds.
+It runs in a few seconds.  ``--src`` names the ``src`` directory whose
+``patchlm`` it digests; without it, a set ``PYTHONPATH`` comes first, then
+the script's own tree.  It names the tree it digested on stderr.
 
-    PYTHONPATH=src python scripts/digest.py > digests.json
+    python scripts/digest.py --src ../other/src > other.json
+    python scripts/digest.py > digests.json
 """
 
+import argparse
 import dataclasses
 import hashlib
 import itertools
@@ -46,7 +50,16 @@ import sys
 
 import numpy as np
 
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+_parser = argparse.ArgumentParser(description="Print the digest map of one patchlm tree.")
+_parser.add_argument("--src", help="the src directory to digest (first on sys.path)")
+_src = _parser.parse_args().src
+_own_src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+if _src:
+    sys.path.insert(0, os.path.abspath(_src))
+elif os.environ.get("PYTHONPATH"):
+    sys.path.append(_own_src)
+else:
+    sys.path.insert(0, _own_src)
 
 from patchlm import bpe, codec, data, inference, losses, training  # noqa: E402
 from patchlm import model as M  # noqa: E402
@@ -253,6 +266,8 @@ def inference_digests(params: dict, out: dict, prefix: str = "",
 
 
 def main() -> None:
+    tree = os.path.realpath(os.path.dirname(os.path.dirname(T.__file__)))
+    print(f"digesting {tree}", file=sys.stderr)
     vocab = bpe.bpe_train([CORPUS], 280)  # 280 tokens plus the specials
     out: dict = {}
     patch_digests(out)

@@ -3,14 +3,20 @@
 Layout: 8-byte little-endian uint64 manifest length, the UTF-8 JSON
 manifest, then each tensor's raw bytes at the offsets the manifest
 records.  The manifest carries the model config, a tensor directory of
-name -> (dtype, shape, offset), and an ``extra`` dict (step counter, RNG
-state, anything JSON-serializable).  Roundtrips are bit-exact.
+name -> (dtype, shape, offset), an ``extra`` dict (step counter, RNG
+state, anything JSON-serializable) and the payload's SHA-256
+(``payload_sha256``).  Loading checks that digest over the payload bytes
+the tensor directory covers, so a changed tensor byte is a DataError
+naming the file; bytes past the last tensor are neither read nor hashed.
+A checkpoint written before the field existed loads unchecked.
+Roundtrips are bit-exact.
 """
 
 from __future__ import annotations
 
 import contextlib
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -51,10 +57,14 @@ def save_checkpoint(path: str, config: ModelConfig, tensors: dict[str, np.ndarra
         raw = arr.tobytes()
         payloads.append(raw)
         offset += len(raw)
+    digest = hashlib.sha256()
+    for raw in payloads:
+        digest.update(raw)
     manifest = {
         "config": dataclasses.asdict(config),
         "tensors": directory,
         "extra": extra or {},
+        "payload_sha256": digest.hexdigest(),
     }
     blob = json.dumps(manifest).encode()
     tmp = f"{path}.{os.getpid()}.tmp"
@@ -111,6 +121,7 @@ def load_checkpoint(path: str) -> tuple[ModelConfig, dict[str, np.ndarray], dict
 
     config = _config_from(manifest["config"], path)
     tensors = {}
+    covered = 0
     for name, meta in manifest["tensors"].items():
         if not (isinstance(meta, dict) and meta.get("dtype") in tuple(_DTYPES)
                 and isinstance(meta.get("shape"), list) and all(map(_is_count, meta["shape"]))
@@ -118,11 +129,15 @@ def load_checkpoint(path: str) -> tuple[ModelConfig, dict[str, np.ndarray], dict
             raise DataError(f"{path}: malformed directory entry for tensor {name}")
         dtype = _DTYPES[meta["dtype"]]
         shape = tuple(meta["shape"])
-        start = meta["offset"]
-        end = start + math.prod(shape) * dtype.itemsize
+        start, count = meta["offset"], math.prod(shape)
+        end = start + count * dtype.itemsize
         if end > len(payload):
             raise DataError(f"{path}: payload too short for tensor {name}")
-        tensors[name] = np.frombuffer(payload[start:end], dtype=dtype).reshape(shape).copy()
+        tensors[name] = np.frombuffer(payload, dtype, count, start).reshape(shape).copy()
+        covered = max(covered, end)
+    if ("payload_sha256" in manifest and manifest["payload_sha256"]
+            != hashlib.sha256(memoryview(payload)[:covered]).hexdigest()):
+        raise DataError(f"{path}: payload does not match its SHA-256; the file is damaged")
     return config, tensors, manifest.get("extra", {})
 
 

@@ -13,7 +13,8 @@ A run is identified by ``run_identity``: a hash of the command, the
 seed, the package source (``code_digest``) and its settings, in which every
 ``InputPath`` (a file the run reads, such as a CLI input flag or a
 ``[data]`` path) stands for the SHA-256 of its content.  ``write_manifest``
-records that hash and the code digest with the input and output digests.
+records that hash, the code digest and the numeric platform (numpy and BLAS
+versions, outside the hash) with the input and output digests.
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ import tomllib
 import typing
 from dataclasses import dataclass, field
 from typing import Any, Optional
+
+import numpy as np
 
 from . import __version__
 from .errors import ConfigError
@@ -152,6 +155,16 @@ def code_digest() -> str:
     return h.hexdigest()
 
 
+@functools.cache
+def numeric_platform() -> dict[str, str]:
+    """The numpy version and its BLAS build's name and version.  Manifests
+    record them but run hashes leave them out: equal bytes are promised for
+    one numpy + BLAS build, since a BLAS kernel choice changes last bits."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return {"numpy_version": np.__version__,
+            "blas": f"{blas.get('name', '?')} {blas.get('version', '?')}"}
+
+
 def run_identity(command: str, config: Any,
                  seed: Optional[int]) -> tuple[str, dict[str, Optional[str]]]:
     """(config hash, {input path: SHA-256}) of a run.
@@ -189,13 +202,15 @@ def run_identity(command: str, config: Any,
 def write_manifest(path: str, command: str, config_hash: str, seed: Optional[int],
                    inputs: dict[str, Optional[str]], outputs: list[str],
                    wall_clock_s: float) -> None:
-    """Write the run manifest: identity, input digests and output digests."""
+    """Write the run manifest: identity, numeric platform, input digests and
+    output digests."""
     manifest = {
         "command": command,
         "config_hash": config_hash,
         "seed": seed,
         "code_version": __version__,
         "code_digest": code_digest(),
+        **numeric_platform(),
         "wall_clock_s": round(wall_clock_s, 3),
         "inputs": inputs,
         "outputs": {p: file_digest(p) for p in outputs},

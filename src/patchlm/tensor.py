@@ -18,7 +18,10 @@ Five fused ops carry the hot paths of a train step:
 * ``softcapped_cross_entropy`` -- the vocab head and its mean CE, worked
   through in row chunks so no [N, V] logit matrix enters the graph.  The
   loss is terminal, so the forward pass also computes the row and table
-  gradients; its backward rules only scale them.
+  gradients; its backward rules only scale them.  A call with more than
+  one chunk runs them on two worker threads, and each chunk runs its
+  elementwise passes in L2-sized row blocks; the calling thread adds the
+  chunks up in order, so the bits do not depend on the thread count.
 * ``causal_gqa_attention`` -- grouped-query causal attention with the mask
   and scale built in and no K/V copies, walked in tiles of 128 query rows.
   Its backward reuses the saved probabilities.
@@ -49,20 +52,24 @@ Attention and the MLP each need one computation for all of their parents'
 gradients.  Both build their node with ``_make_joint``, which runs that
 computation once per ``backward()`` call and hands each parent its share.
 
-Importing this module sets two of glibc's malloc parameters for this
+Importing this module sets three of glibc's malloc parameters for this
 process only (``_keep_freed_pages_mapped``): blocks up to 32 MiB come from
-the heap, and freed heap pages stay mapped.  A train step's multi-MB
-buffers (CE chunks, attention tiles and dS, the MLP's saved arrays,
-backward temporaries) then reuse the previous step's pages instead of
-faulting about 10k pages in and zero-filling them on every step.  The
-resident set stays at its peak after a large transient.  Without glibc's
-``mallopt`` nothing changes.
+the heap, freed heap pages stay mapped, and all threads share one arena.
+A train step's multi-MB buffers (CE chunks, attention tiles and dS, the
+MLP's saved arrays, backward temporaries) then reuse the previous step's
+pages instead of faulting about 10k pages in and zero-filling them on
+every step, and the CE's worker threads do not each grow an arena of
+their own.  The resident set stays at its peak after a large transient.
+Without glibc's ``mallopt`` nothing changes.  Importing starts no thread:
+the CE's pool is made by the first call that has more than one chunk.
 """
 
 from __future__ import annotations
 
 import contextlib
 import ctypes
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -76,6 +83,7 @@ _grad_enabled = True
 # glibc's mallopt parameters (malloc.h) and the values this process sets
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
+_M_ARENA_MAX = -8
 _MMAP_THRESHOLD_BYTES = 32 << 20     # glibc's largest on 64-bit hosts
 _TRIM_THRESHOLD_BYTES = 1 << 30
 
@@ -84,12 +92,14 @@ def _keep_freed_pages_mapped() -> None:
     """Keep this process's freed heap pages mapped, so the next train step
     reuses them instead of page-faulting and zero-filling them again.
 
-    Both settings are needed: with only the mmap threshold raised, the
+    Both thresholds are needed: with only the mmap threshold raised, the
     default 128 KiB trim threshold hands the freed blocks back; with only
     the trim threshold raised, blocks past glibc's dynamic mmap threshold
-    still get, and lose, their own mapping.  Where libc has no ``mallopt``
-    (musl, macOS) nothing changes.  ``CDLL(None)`` looks the symbol up in
-    the running process and starts no subprocess.
+    still get, and lose, their own mapping.  One arena keeps the CE's
+    worker threads on the main heap, whose pages stay mapped; each thread's
+    own arena would hold another copy of its chunk buffers.  Where libc
+    has no ``mallopt`` (musl, macOS) nothing changes.  ``CDLL(None)`` looks
+    the symbol up in the running process and starts no subprocess.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
@@ -99,6 +109,7 @@ def _keep_freed_pages_mapped() -> None:
     mallopt.restype = ctypes.c_int
     mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
     mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)
+    mallopt(_M_ARENA_MAX, 1)
 
 
 _keep_freed_pages_mapped()
@@ -486,6 +497,27 @@ def rope(x: Tensor, cos: np.ndarray, sin: np.ndarray) -> Tensor:
 
 
 _CE_CHUNK_LOGITS = 1 << 20   # logits per softcapped_cross_entropy chunk
+_CE_BLOCK_LOGITS = 1 << 17   # logits per row block of a chunk's elementwise passes
+_CE_WORKERS = 2              # threads that work a multi-chunk CE's chunks
+_ce_pool: ThreadPoolExecutor | None = None
+
+
+def _ce_executor() -> ThreadPoolExecutor:
+    """The CE's pool of ``_CE_WORKERS`` threads, made on first use."""
+    global _ce_pool
+    if _ce_pool is None:
+        _ce_pool = ThreadPoolExecutor(_CE_WORKERS, "patchlm-ce")
+    return _ce_pool
+
+
+def _forget_ce_pool() -> None:
+    # a forked child has none of its parent's threads; it makes its own pool
+    global _ce_pool
+    _ce_pool = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_ce_pool)
 
 
 def _live(a: Tensor) -> bool:
@@ -503,6 +535,14 @@ def softcapped_cross_entropy(rows: Tensor, table: Tensor, targets: np.ndarray,
     gradient.  Every capped logit lies in (-alpha, alpha), so the constant
     alpha stands in for the per-row max of the logsumexp; in float32 that
     holds while exp(-2 alpha) does not underflow, i.e. alpha below ~40.
+
+    A call with more than one chunk hands them to ``_CE_WORKERS`` threads
+    (numpy releases the GIL in its ufunc loops and BLAS calls).  The calling
+    thread adds up the chunks' results in chunk order, so the loss and both
+    gradients have the same bits for any number of workers.  Within a chunk
+    the elementwise passes run over row blocks of about 2^17 logits, which
+    stay in L2, through one scratch block; each block's gradient goes back
+    into the chunk's GEMM output, the only [chunk, V] buffer.
     """
     n, d = rows.shape
     if table.ndim != 2 or table.shape[1] != d:
@@ -511,33 +551,52 @@ def softcapped_cross_entropy(rows: Tensor, table: Tensor, targets: np.ndarray,
     if n == 0 or targets.shape != (n,):
         raise DimensionError("softcapped_cross_entropy needs one target id per row, N >= 1")
     w = table.data
+    vocab = w.shape[0]
     need_rows, need_table = _live(rows), _live(table)
     d_rows = np.empty_like(rows.data) if need_rows else None
-    d_table = np.zeros_like(w) if need_table else None
-    chunk = max(1, _CE_CHUNK_LOGITS // w.shape[0])
-    total = 0.0
-    for start in range(0, n, chunk):
+    chunk = max(1, _CE_CHUNK_LOGITS // vocab)
+    block = max(1, _CE_BLOCK_LOGITS // vocab)
+
+    def run_chunk(start: int) -> tuple[float, float, np.ndarray | None]:
+        """(sum of target capped logits - alpha, sum of log row sums, d table
+        share) of one chunk; its d rows go straight into ``d_rows``."""
         r = rows.data[start:start + chunk]
         tgt = targets[start:start + chunk]
-        pick = np.arange(len(tgt))
         th = (r * r.dtype.type(1.0 / alpha)) @ w.T
-        np.tanh(th, out=th)
-        e = th - 1.0
-        e *= alpha                                   # capped logit - alpha
-        total -= float(e[pick, tgt].sum(dtype=np.float64))
-        np.exp(e, out=e)
-        sumexp = e.sum(axis=1, keepdims=True)
-        total += float(np.log(sumexp).sum(dtype=np.float64))
-        if need_rows or need_table:
-            e /= sumexp                              # softmax
-            e[pick, tgt] -= 1.0                      # d CE / d capped logit
-            th *= th
-            np.subtract(1.0, th, out=th)             # d capped logit / d raw logit
-            e *= th
-            if need_rows:
-                d_rows[start:start + chunk] = e @ w
-            if need_table:
-                d_table += e.T @ r
+        picked = np.empty(len(tgt), th.dtype)
+        sumexp = np.empty((len(tgt), 1), th.dtype)
+        scratch = np.empty((min(block, len(tgt)), vocab), th.dtype)
+        for b0 in range(0, len(tgt), block):
+            t = th[b0:b0 + block]
+            e = scratch[:len(t)]
+            pick, tb = np.arange(len(t)), tgt[b0:b0 + block]
+            np.tanh(t, out=t)
+            np.subtract(t, 1.0, out=e)
+            e *= alpha                               # capped logit - alpha
+            picked[b0:b0 + block] = e[pick, tb]
+            np.exp(e, out=e)
+            np.sum(e, axis=1, keepdims=True, out=sumexp[b0:b0 + block])
+            if need_rows or need_table:
+                e /= sumexp[b0:b0 + block]           # softmax
+                e[pick, tb] -= 1.0                   # d CE / d capped logit
+                t *= t
+                np.subtract(1.0, t, out=t)           # d capped logit / d raw logit
+                np.multiply(e, t, out=t)             # d CE / d raw logit
+        if need_rows:
+            d_rows[start:start + chunk] = th @ w
+        return (float(picked.sum(dtype=np.float64)),
+                float(np.log(sumexp).sum(dtype=np.float64)),
+                th.T @ r if need_table else None)
+
+    starts = range(0, n, chunk)
+    results = map(run_chunk, starts) if len(starts) == 1 else _ce_executor().map(run_chunk, starts)
+    d_table = np.zeros_like(w) if need_table else None
+    total = 0.0
+    for picked_sum, log_sum, table_share in results:
+        total -= picked_sum
+        total += log_sum
+        if need_table:
+            d_table += table_share
     inv_n = 1.0 / n
     if need_rows:
         d_rows *= inv_n

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import io
 import json
 import os
@@ -93,6 +94,39 @@ def test_failed_save_leaves_the_earlier_checkpoint_whole(tmp_path, monkeypatch):
     _, tensors, extra = C.load_checkpoint(path)
     assert tensors["x"].tolist() == list(range(64)) and extra == {"step": 1}
     assert os.listdir(tmp_path) == ["m.ckpt"]
+
+
+def test_manifest_records_the_payload_sha256(tmp_path):
+    path = tmp_path / "m.ckpt"
+    C.save_checkpoint(str(path), TINY, {"b": np.arange(3, dtype=np.float64),
+                                        "a": np.ones(2, dtype=np.float32)})
+    raw = path.read_bytes()
+    (n,) = struct.unpack("<Q", raw[:8])
+    manifest = json.loads(raw[8:8 + n])
+    assert manifest["payload_sha256"] == hashlib.sha256(raw[8 + n:]).hexdigest()
+
+
+@pytest.mark.parametrize("where", [0, -1])
+def test_flipped_payload_byte_is_data_error_naming_the_file(tmp_path, where):
+    path = tmp_path / "m.ckpt"
+    C.save_checkpoint(str(path), TINY, {"x": np.ones(4, dtype=np.float32)})
+    raw = bytearray(path.read_bytes())
+    (n,) = struct.unpack("<Q", raw[:8])
+    raw[8 + n if where == 0 else len(raw) - 1] ^= 0x01
+    path.write_bytes(bytes(raw))
+    with pytest.raises(DataError, match=f"{path}: payload does not match its SHA-256"):
+        C.load_checkpoint(str(path))
+
+
+def test_checkpoint_without_payload_digest_still_loads(tmp_path):
+    # as written before the manifest carried payload_sha256
+    path = tmp_path / "old.ckpt"
+    payload = np.array([1.5, -2.0], dtype="<f4").tobytes()
+    _write_raw(str(path), _manifest(), payload)
+    assert "payload_sha256" not in json.loads(_manifest())
+    config, tensors, extra = C.load_checkpoint(str(path))
+    assert config == TINY and extra == {}
+    assert tensors["x"].tobytes() == payload
 
 
 def _write_raw(path, manifest: bytes, payload: bytes = b""):

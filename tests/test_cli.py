@@ -241,13 +241,23 @@ def test_missing_prediction_is_data_error(workdir):
                "--out", "x.json") == 3
 
 
-def test_manifest_identical_for_identical_runs(workdir):
+def test_manifest_identical_for_identical_runs(workdir, monkeypatch):
     run("--seed", "9", "synth", "generate", "--n", "2", "--len", "32", "--out", "s1.jsonl")
     run("--seed", "9", "synth", "generate", "--n", "2", "--len", "32", "--out", "s2.jsonl")
     m1 = json.load(open("s1.jsonl.manifest.json"))
     m2 = json.load(open("s2.jsonl.manifest.json"))
     assert m1["config_hash"] == m2["config_hash"]
     assert list(m1["outputs"].values()) == list(m2["outputs"].values())
+    # the numeric platform is recorded, outside the hash
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert m1["numpy_version"] == np.__version__
+    assert m1["blas"] == f"{blas['name']} {blas['version']}"
+    monkeypatch.setattr(cfgmod, "numeric_platform",
+                        lambda: {"numpy_version": "0.0", "blas": "other 0.0"})
+    run("--seed", "9", "synth", "generate", "--n", "2", "--len", "32", "--out", "s3.jsonl")
+    m3 = json.load(open("s3.jsonl.manifest.json"))
+    assert (m3["numpy_version"], m3["blas"]) == ("0.0", "other 0.0")
+    assert m3["config_hash"] == m1["config_hash"]
 
 
 # -- malformed and missing inputs -------------------------------------------------
@@ -317,6 +327,16 @@ def test_checkpoint_of_older_version_exit_3(inputs, capsys):
     (inputs / "old.ckpt").write_bytes(struct.pack("<Q", len(blob)) + blob + raw[8 + n:])
     assert run("embed", "--ckpt", "old.ckpt", "--input", "s.jsonl", "--out", "e.jsonl") == 3
     assert "rope_base" in capsys.readouterr().err
+
+
+def test_checkpoint_with_a_flipped_payload_byte_exit_3(inputs, capsys):
+    raw = bytearray((inputs / "m.ckpt").read_bytes())
+    raw[-5] ^= 0x10                  # inside the last tensor's bytes
+    (inputs / "flipped.ckpt").write_bytes(bytes(raw))
+    assert run("embed", "--ckpt", "flipped.ckpt", "--input", "s.jsonl", "--out", "e.jsonl") == 3
+    err = capsys.readouterr().err
+    assert "flipped.ckpt" in err and "SHA-256" in err and "Traceback" not in err
+    assert not os.path.exists("e.jsonl")
 
 
 def test_checkpoint_config_not_fitting_tensors_exit_3(inputs, capsys):

@@ -7,11 +7,14 @@ matrix of 2x2 rotation blocks per position for RoPE, three matmuls
 around a tanh-form sigmoid for the SwiGLU MLP, and for the masked pinball
 loss the eight-node chain ``losses.masked_quantile_loss`` used to build.
 The tiled attention op is also checked against the untiled op it
-replaced, which scored every query row against all keys under one mask.
+replaced, which scored every query row against all keys under one mask,
+and the vocab CE against its serial chunk loop from before its chunks
+went to worker threads, whose loss and gradient bytes it must equal.
 """
 
 import gc
 import math
+import sys
 import warnings
 import weakref
 
@@ -219,6 +222,95 @@ def test_ce_rejects_bad_shapes():
         T.softcapped_cross_entropy(rows, table, targets[:3], 15.0)
     with pytest.raises(DimensionError):
         T.softcapped_cross_entropy(rows, T.transpose(table, (1, 0)), targets, 15.0)
+
+
+def serial_ce_reference(rows, table, targets, alpha, grads=True):
+    """The op's serial chunk loop as it was before its chunks went to worker
+    threads and its passes to row blocks: (loss, d rows, d table) arrays from
+    [N, d] rows and a [V, d] table, with no gradients when ``grads`` is off."""
+    w = table
+    n = len(rows)
+    d_rows = np.empty_like(rows) if grads else None
+    d_table = np.zeros_like(w) if grads else None
+    chunk = max(1, T._CE_CHUNK_LOGITS // w.shape[0])
+    total = 0.0
+    for start in range(0, n, chunk):
+        r = rows[start:start + chunk]
+        tgt = targets[start:start + chunk]
+        pick = np.arange(len(tgt))
+        th = (r * r.dtype.type(1.0 / alpha)) @ w.T
+        np.tanh(th, out=th)
+        e = th - 1.0
+        e *= alpha
+        total -= float(e[pick, tgt].sum(dtype=np.float64))
+        np.exp(e, out=e)
+        sumexp = e.sum(axis=1, keepdims=True)
+        total += float(np.log(sumexp).sum(dtype=np.float64))
+        if grads:
+            e /= sumexp
+            e[pick, tgt] -= 1.0
+            th *= th
+            np.subtract(1.0, th, out=th)
+            e *= th
+            d_rows[start:start + chunk] = e @ w
+            d_table += e.T @ r
+    inv_n = 1.0 / n
+    if grads:
+        d_rows *= inv_n
+        d_table *= inv_n
+    return np.asarray(total * inv_n, dtype=rows.dtype), d_rows, d_table
+
+
+def fused_ce_bytes(rows, table, targets):
+    """The op's loss and, when a graph is built, its raw d rows and d table
+    (each backward rule at an upstream 1.0), as bytes."""
+    loss = T.softcapped_cross_entropy(Tensor(rows, requires_grad=True),
+                                      Tensor(table, requires_grad=True), targets, 15.0)
+    return [loss.data.tobytes()] + [fn(np.asarray(1.0)).tobytes() for _, fn in loss._rules]
+
+
+def vocab_case(n, seed):
+    rng = np.random.default_rng(seed)
+    rows = rng.normal(size=(n, 64)).astype(np.float32)
+    table = (rng.normal(size=(VOCAB, 64)) * 0.8).astype(np.float32)
+    return rows, table, rng.integers(0, VOCAB, n)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("n", [1024, 1000, 1025])
+def test_ce_bytes_equal_the_serial_loop_at_any_worker_count(monkeypatch, n, workers):
+    monkeypatch.setattr(T, "_CE_WORKERS", workers)
+    monkeypatch.setattr(T, "_ce_pool", None)     # this test's own pool of that size
+    rows, table, targets = vocab_case(n, seed=n + workers)
+    want = [a.tobytes() for a in serial_ce_reference(rows, table, targets, 15.0)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)      # hand the GIL between the workers as often as it can
+    try:
+        got = fused_ce_bytes(rows, table, targets)
+    finally:
+        sys.setswitchinterval(interval)
+        T._ce_pool.shutdown()
+    assert got == want
+
+
+def test_ce_no_grad_bytes_equal_the_serial_loop():
+    rows, table, targets = vocab_case(1025, seed=11)
+    want, _, _ = serial_ce_reference(rows, table, targets, 15.0, grads=False)
+    with T.no_grad():
+        got = fused_ce_bytes(rows, table, targets)
+    assert got == [want.tobytes()]
+
+
+def test_ce_out_of_range_target_raises_and_the_next_call_is_exact():
+    rows, table, targets = vocab_case(1025, seed=12)
+    bad = targets.copy()
+    bad[700] = VOCAB                 # in the third of five chunks
+    with pytest.raises(IndexError):
+        serial_ce_reference(rows, table, bad, 15.0)
+    with pytest.raises(IndexError):
+        fused_ce_bytes(rows, table, bad)
+    want = [a.tobytes() for a in serial_ce_reference(rows, table, targets, 15.0)]
+    assert fused_ce_bytes(rows, table, targets) == want
 
 
 # ---------------------------------------------------------------------

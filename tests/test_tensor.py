@@ -1,6 +1,9 @@
 import os
+import signal
 import subprocess
 import sys
+import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -253,6 +256,23 @@ def test_keep_freed_pages_mapped_is_a_no_op_without_mallopt(monkeypatch):
     assert T._keep_freed_pages_mapped() is None
 
 
+class _RecordingMallopt:
+    def __init__(self):
+        self.calls = []
+
+    def __call__(self, param, value):
+        self.calls.append((param, value))
+        return 1
+
+
+def test_keep_freed_pages_mapped_sets_exactly_three_parameters(monkeypatch):
+    mallopt = _RecordingMallopt()
+    monkeypatch.setattr(T.ctypes, "CDLL", lambda name: SimpleNamespace(mallopt=mallopt))
+    T._keep_freed_pages_mapped()
+    # M_MMAP_THRESHOLD, M_TRIM_THRESHOLD and M_ARENA_MAX, in that order
+    assert mallopt.calls == [(-3, 32 << 20), (-1, 1 << 30), (-8, 1)]
+
+
 @pytest.mark.parametrize("patch", ["", "ctypes.CDLL = no_libc"], ids=["libc", "no_libc"])
 def test_tensor_reimport_is_safe(patch):
     # reloading in this process would replace the Tensor class under every
@@ -267,3 +287,50 @@ def test_tensor_reimport_is_safe(patch):
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "6.0"
+
+
+def _ce_bytes(n, seed=3):
+    rng = np.random.default_rng(seed)
+    rows = T.Tensor(rng.normal(size=(n, 16)).astype(np.float32), requires_grad=True)
+    table = T.Tensor(rng.normal(size=(4096, 16)).astype(np.float32), requires_grad=True)
+    loss = T.softcapped_cross_entropy(rows, table, rng.integers(0, 4096, n), 15.0)
+    loss.backward()
+    return loss.data.tobytes() + rows.grad.tobytes() + table.grad.tobytes()
+
+
+def test_import_and_a_one_chunk_ce_start_no_thread():
+    code = ("import threading\nimport numpy as np\nimport patchlm.tensor as T\n"
+            "rng = np.random.default_rng(0)\n"
+            "rows = T.Tensor(rng.normal(size=(256, 16)).astype(np.float32), requires_grad=True)\n"
+            "table = T.Tensor(rng.normal(size=(4096, 16)).astype(np.float32), requires_grad=True)\n"
+            "T.softcapped_cross_entropy(rows, table, rng.integers(0, 4096, 256), 15.0).backward()\n"
+            "print(threading.active_count())\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(T.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "1"
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_runs_a_multi_chunk_ce_on_its_own_pool():
+    want = _ce_bytes(1000)               # four chunks: the pool exists from here on
+    assert T._ce_pool is not None
+    pid = os.fork()
+    if pid == 0:                         # the child never returns into pytest
+        status = 1
+        try:
+            status = 0 if _ce_bytes(1000) == want else 1
+        finally:
+            os._exit(status)
+    deadline = time.monotonic() + 60
+    while True:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done or time.monotonic() > deadline:
+            break
+        time.sleep(0.05)
+    if not done:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+    assert done and os.waitstatus_to_exitcode(status) == 0
