@@ -29,7 +29,9 @@ The map covers:
 - ``attn.*``: the output of ``tensor.causal_gqa_attention`` and its q, k
   and v gradients, in float32 on fixed inputs at 129, 256 and 300 queries
   from position 0 and for a 150-query chunk after 100 cached keys, so
-  passes longer than one 128-row query tile show too.
+  passes longer than one 128-row query tile show too; and at 512 queries
+  (B = 2) and 600 queries (B = 1), which compute enough scores to run
+  their (batch, kv head) slices on the worker pool.
 
 Two trees that print the same map compute the same bits for all of these.
 It runs in a few seconds.  ``--src`` names the ``src`` directory whose
@@ -185,14 +187,15 @@ def qloss_digests(out: dict) -> None:
 
 def attention_digests(out: dict) -> None:
     rng = np.random.default_rng(29)
-    for S, offset in ((129, 0), (256, 0), (300, 0), (150, 100)):
-        q, k, v = (Tensor(rng.normal(size=(2, heads, n, 16)).astype(np.float32),
+    for B, S, offset in ((2, 129, 0), (2, 256, 0), (2, 300, 0), (2, 150, 100),
+                         (2, 512, 0), (1, 600, 0)):
+        q, k, v = (Tensor(rng.normal(size=(B, heads, n, 16)).astype(np.float32),
                           requires_grad=True)
                    for heads, n in ((4, S), (2, offset + S), (2, offset + S)))
         ctx = T.causal_gqa_attention(q, k, v, offset)
         probe = Tensor(rng.normal(size=ctx.shape).astype(np.float32))
         T.tsum(T.mul(ctx, probe)).backward()
-        name = f"attn.S{S}.off{offset}"
+        name = f"attn.S{S}.off{offset}" if B == 2 else f"attn.B{B}.S{S}.off{offset}"
         out[f"{name}.out"] = digest(ctx.data)
         for x, part in ((q, "dq"), (k, "dk"), (v, "dv")):
             out[f"{name}.{part}"] = digest(x.grad)

@@ -101,6 +101,9 @@ def _config_from(fields: dict, path: str) -> ModelConfig:
 
 
 def load_checkpoint(path: str) -> tuple[ModelConfig, dict[str, np.ndarray], dict[str, Any]]:
+    """(config, tensors, extra) of the file at ``path``.  Each tensor is its
+    own writable array, sharing memory with no other; a malformed or damaged
+    file is a DataError naming it."""
     with open(path, "rb") as fh:
         header = fh.read(8)
         if len(header) != 8:
@@ -146,7 +149,10 @@ def params_to_tensors(params: dict[str, Tensor]) -> dict[str, np.ndarray]:
 
 
 def tensors_to_params(tensors: dict[str, np.ndarray]) -> dict[str, Tensor]:
-    return {name: Tensor(arr.copy(), requires_grad=True) for name, arr in tensors.items()}
+    """The arrays as leaf tensors, without copying them: each parameter then
+    updates its array in place.  ``load_checkpoint``'s arrays are the
+    caller's own, one writable copy per tensor, so they can go in as they are."""
+    return {name: Tensor(arr, requires_grad=True) for name, arr in tensors.items()}
 
 
 def model_params(config: ModelConfig, tensors: dict[str, np.ndarray]) -> dict[str, Tensor]:

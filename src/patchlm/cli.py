@@ -198,6 +198,11 @@ def cmd_train(args) -> tuple[list[str], dict]:
         trainer = training.Trainer.load(args.resume, sources)
         if trainer.config != run.model:
             raise ConfigError("checkpoint model config does not match the run config")
+        code = cfgmod.code_digest()
+        if trainer.saved_code_digest not in (None, code):
+            print(f"warning: {args.resume} was saved by code {trainer.saved_code_digest} and "
+                  f"resumes under code {code}; the run may differ from an uninterrupted one",
+                  file=sys.stderr)
     else:
         trainer = training.Trainer(run.model, seed=args.seed)
 

@@ -24,7 +24,10 @@ Five fused ops carry the hot paths of a train step:
   chunks up in order, so the bits do not depend on the thread count.
 * ``causal_gqa_attention`` -- grouped-query causal attention with the mask
   and scale built in and no K/V copies, walked in tiles of 128 query rows.
-  Its backward reuses the saved probabilities.
+  Its backward reuses the saved probabilities.  A call that builds a graph
+  and computes at least 2^19 scores runs its (batch, kv head) slices in two
+  parts on the worker threads, forward and backward; each part writes only
+  its own slices, so the bits do not depend on the split.
 * ``rope`` -- the rotary position embedding of q and k as one node; its
   backward is the inverse rotation.
 * ``swiglu_mlp`` -- a block's SwiGLU MLP as one node, with the same float
@@ -34,11 +37,12 @@ Five fused ops carry the hot paths of a train step:
 The pinball op takes [..., Q] quantiles, the targets and mask without the
 Q axis, and the Q levels.  It runs the float ops of the eight-node chain
 it replaces in that chain's order: ``u = y - q`` (bit-equal to
-``(q * -1) + y``), ``tau u`` and ``(tau - 1) u``, the ``>=`` pick, the
-mask, the sum, then the float32 scale ``1 / (Q sum(mask))``.  So the loss
-and every gradient keep their bits, down to the -0 of each zero entry of
-the q gradient.  It holds one [..., Q] slope instead of six [..., Q]
-values.
+``(q * -1) + y``), ``tau u`` and ``(tau - 1) u``, the max, the mask, the
+sum, then the float32 scale ``1 / (Q sum(mask))``.  So the loss and every
+gradient keep their bits, down to the -0 of each zero entry of the q
+gradient.  It holds one [..., Q] slope instead of six [..., Q] values.
+Neither the max nor the slope branches on the sign of the error: selects
+on a data-dependent mask run several times slower than arithmetic on it.
 
 The attention tile of query rows [s0, s1) scores only the keys
 [0, offset + s1) and masks only its diagonal block, so at S = 512 the node
@@ -58,10 +62,15 @@ the heap, freed heap pages stay mapped, and all threads share one arena.
 A train step's multi-MB buffers (CE chunks, attention tiles and dS, the
 MLP's saved arrays, backward temporaries) then reuse the previous step's
 pages instead of faulting about 10k pages in and zero-filling them on
-every step, and the CE's worker threads do not each grow an arena of
-their own.  The resident set stays at its peak after a large transient.
-Without glibc's ``mallopt`` nothing changes.  Importing starts no thread:
-the CE's pool is made by the first call that has more than one chunk.
+every step, and the worker threads do not each grow an arena of their
+own.  The resident set stays at its peak after a large transient.
+Without glibc's ``mallopt`` nothing changes.
+
+The CE and attention share one pool of ``_POOL_WORKERS`` (two) threads.
+Importing starts no thread: the pool is made by the first call that hands
+it work, a CE of more than one chunk or an attention that builds a graph
+over at least 2^19 scores, and a forked child makes its own.  Every other
+call, inference among them, runs on the calling thread.
 """
 
 from __future__ import annotations
@@ -71,7 +80,7 @@ import ctypes
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -95,9 +104,9 @@ def _keep_freed_pages_mapped() -> None:
     Both thresholds are needed: with only the mmap threshold raised, the
     default 128 KiB trim threshold hands the freed blocks back; with only
     the trim threshold raised, blocks past glibc's dynamic mmap threshold
-    still get, and lose, their own mapping.  One arena keeps the CE's
+    still get, and lose, their own mapping.  One arena keeps the pool's
     worker threads on the main heap, whose pages stay mapped; each thread's
-    own arena would hold another copy of its chunk buffers.  Where libc
+    own arena would hold another copy of its buffers.  Where libc
     has no ``mallopt`` (musl, macOS) nothing changes.  ``CDLL(None)`` looks
     the symbol up in the running process and starts no subprocess.
     """
@@ -496,28 +505,37 @@ def rope(x: Tensor, cos: np.ndarray, sin: np.ndarray) -> Tensor:
     return _make(rotate(x.data, sin), [(x, lambda g: rotate(g, -sin))])
 
 
-_CE_CHUNK_LOGITS = 1 << 20   # logits per softcapped_cross_entropy chunk
-_CE_BLOCK_LOGITS = 1 << 17   # logits per row block of a chunk's elementwise passes
-_CE_WORKERS = 2              # threads that work a multi-chunk CE's chunks
-_ce_pool: ThreadPoolExecutor | None = None
+_POOL_WORKERS = 2            # threads that work a multi-chunk CE or a split attention
+_pool: ThreadPoolExecutor | None = None
 
 
-def _ce_executor() -> ThreadPoolExecutor:
-    """The CE's pool of ``_CE_WORKERS`` threads, made on first use."""
-    global _ce_pool
-    if _ce_pool is None:
-        _ce_pool = ThreadPoolExecutor(_CE_WORKERS, "patchlm-ce")
-    return _ce_pool
+def _executor() -> ThreadPoolExecutor:
+    """The module's pool of ``_POOL_WORKERS`` threads, made on first use."""
+    global _pool
+    if _pool is None:
+        _pool = ThreadPoolExecutor(_POOL_WORKERS, "patchlm")
+    return _pool
 
 
-def _forget_ce_pool() -> None:
+def _forget_pool() -> None:
     # a forked child has none of its parent's threads; it makes its own pool
-    global _ce_pool
-    _ce_pool = None
+    global _pool
+    _pool = None
 
 
 if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_ce_pool)
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _map(fn: Callable, jobs: Sequence) -> Iterator:
+    """``map(fn, jobs)``, on the calling thread for one job and on the pool for
+    more.  The results come back in job order; read them all, since a job's
+    exception is raised when its result is read."""
+    return map(fn, jobs) if len(jobs) == 1 else _executor().map(fn, jobs)
+
+
+_CE_CHUNK_LOGITS = 1 << 20   # logits per softcapped_cross_entropy chunk
+_CE_BLOCK_LOGITS = 1 << 17   # logits per row block of a chunk's elementwise passes
 
 
 def _live(a: Tensor) -> bool:
@@ -536,13 +554,14 @@ def softcapped_cross_entropy(rows: Tensor, table: Tensor, targets: np.ndarray,
     alpha stands in for the per-row max of the logsumexp; in float32 that
     holds while exp(-2 alpha) does not underflow, i.e. alpha below ~40.
 
-    A call with more than one chunk hands them to ``_CE_WORKERS`` threads
-    (numpy releases the GIL in its ufunc loops and BLAS calls).  The calling
-    thread adds up the chunks' results in chunk order, so the loss and both
-    gradients have the same bits for any number of workers.  Within a chunk
-    the elementwise passes run over row blocks of about 2^17 logits, which
-    stay in L2, through one scratch block; each block's gradient goes back
-    into the chunk's GEMM output, the only [chunk, V] buffer.
+    A call with more than one chunk hands them to the module's pool of
+    ``_POOL_WORKERS`` threads (numpy releases the GIL in its ufunc loops and
+    BLAS calls).  The calling thread adds up the chunks' results in chunk
+    order, so the loss and both gradients have the same bits for any number
+    of workers.  Within a chunk the elementwise passes run over row blocks
+    of about 2^17 logits, which stay in L2, through one scratch block; each
+    block's gradient goes back into the chunk's GEMM output, the only
+    [chunk, V] buffer.
     """
     n, d = rows.shape
     if table.ndim != 2 or table.shape[1] != d:
@@ -589,7 +608,7 @@ def softcapped_cross_entropy(rows: Tensor, table: Tensor, targets: np.ndarray,
                 th.T @ r if need_table else None)
 
     starts = range(0, n, chunk)
-    results = map(run_chunk, starts) if len(starts) == 1 else _ce_executor().map(run_chunk, starts)
+    results = _map(run_chunk, starts)
     d_table = np.zeros_like(w) if need_table else None
     total = 0.0
     for picked_sum, log_sum, table_share in results:
@@ -610,6 +629,7 @@ def softcapped_cross_entropy(rows: Tensor, table: Tensor, targets: np.ndarray,
 
 _ATTN_TILE_ROWS = 128        # query rows per causal_gqa_attention tile
 _ATTN_HIDDEN = ~np.tri(_ATTN_TILE_ROWS, dtype=bool)   # [:n, :n] masks a tile's diagonal block
+_ATTN_SPLIT_SCORES = 1 << 19  # scores a call computes before its slices go to the pool
 
 
 def causal_gqa_attention(q: Tensor, k: Tensor, v: Tensor, offset: int) -> Tensor:
@@ -617,8 +637,9 @@ def causal_gqa_attention(q: Tensor, k: Tensor, v: Tensor, offset: int) -> Tensor
 
     ``q`` is [B, Hq, S, hd] at positions offset..offset+S-1; ``k`` and ``v``
     are [B, Hkv, offset+S, hd].  Query head h reads kv head h // (Hq/Hkv),
-    so q is viewed as [B, Hkv, g, S, hd] and K/V are never copied.  The
-    causal mask and the 1/sqrt(hd) scale are applied here.
+    so q is viewed as B*Hkv slices of [g, S, hd] against B*Hkv slices of
+    K/V, which are never copied.  The causal mask and the 1/sqrt(hd) scale
+    are applied here.
 
     The queries go through in tiles of 128 rows.  The tile of rows
     [s0, s1) takes those rows of all g heads of a group, scores only the
@@ -629,6 +650,19 @@ def causal_gqa_attention(q: Tensor, k: Tensor, v: Tensor, offset: int) -> Tensor
     dq and adds dk and dv over its key prefix.  A pass of at most 128
     queries is one tile and runs the float ops of the untiled op in its
     order, so its bits do not depend on the tiling.
+
+    A call that builds a graph and computes at least 2^19 scores splits its
+    slices into ``_POOL_WORKERS`` contiguous parts and runs each part's tile
+    loop, and later its backward, on the module's pool.  Every matmul is one
+    GEMM per slice and every reduction runs along one row, and each part
+    writes only its own slices of the output and the gradients, so the bits
+    do not depend on the split.  A forward-only call stays on the calling
+    thread.  After waiting on the pool, the calling thread resumes on the
+    other core in about half the calls, and the serial work that follows
+    (a forecast's decode steps) then runs slower, up to ~1 ms, until that
+    core's caches hold its data.  A forward-only split saves about as much
+    (0.5 ms at B = 1, S = 600); one whose backward splits too saves several
+    times that.
     """
     B, n_q, S, hd = q.shape
     if k.ndim != 4 or k.shape != v.shape or k.shape[0] != B or k.shape[3] != hd:
@@ -638,49 +672,74 @@ def causal_gqa_attention(q: Tensor, k: Tensor, v: Tensor, offset: int) -> Tensor
         raise DimensionError(
             f"causal_gqa_attention: {n_q} q heads over {n_kv} kv heads, "
             f"offset {offset} + {S} queries vs {total} keys")
-    group = n_q // n_kv
+    group, slices = n_q // n_kv, B * n_kv
     scale = q.data.dtype.type(1.0 / np.sqrt(hd))
-    qs = q.data.reshape(B, n_kv, group, S, hd) * scale
+    qs = q.data.reshape(slices, group, S, hd) * scale
+    ks, vs = k.data.reshape(slices, total, hd), v.data.reshape(slices, total, hd)
+    out = np.empty_like(qs)
     tiles = [(s0, min(s0 + _ATTN_TILE_ROWS, S)) for s0 in range(0, S, _ATTN_TILE_ROWS)]
+    # a forward-only call stays serial: see the docstring
+    parallel = (_grad_enabled and (q.requires_grad or k.requires_grad or v.requires_grad)
+                and B * n_q * sum((s1 - s0) * (offset + s1) for s0, s1 in tiles)
+                >= _ATTN_SPLIT_SCORES)
+    n_parts = min(_POOL_WORKERS, slices) if parallel else 1
+
+    def split(*arrays: np.ndarray) -> list[tuple[np.ndarray, ...]]:
+        """Each part's views of ``arrays``, cut into contiguous runs of slices."""
+        if n_parts == 1:
+            return [arrays]
+        cuts = [slices * i // n_parts for i in range(n_parts + 1)]
+        return [tuple(a[lo:hi] for a in arrays) for lo, hi in zip(cuts, cuts[1:])]
 
     def rows(a: np.ndarray, s0: int, s1: int) -> np.ndarray:
-        """A tile's query rows of a [B, Hkv, g, S, hd] array: [B, Hkv, g*n, hd]."""
-        return a[:, :, :, s0:s1].reshape(B, n_kv, group * (s1 - s0), hd)
+        """A tile's query rows of [m, g, S, hd] slices: [m, g*n, hd]."""
+        return a[:, :, s0:s1].reshape(len(a), group * (s1 - s0), hd)
 
-    out = np.empty_like(qs)
-    probs = []
-    for s0, s1 in tiles:
-        n, seen = s1 - s0, offset + s1
-        p = rows(qs, s0, s1) @ k.data[:, :, :seen].swapaxes(-1, -2)   # [B, Hkv, g*n, seen]
-        np.copyto(p.reshape(B, n_kv, group, n, seen)[..., seen - n:], -np.inf,
-                  where=_ATTN_HIDDEN[:n, :n])
-        p -= p.max(axis=-1, keepdims=True)     # key 0 is always visible: finite
-        np.exp(p, out=p)
-        p /= p.sum(axis=-1, keepdims=True)
-        out[:, :, :, s0:s1] = (p @ v.data[:, :, :seen]).reshape(B, n_kv, group, n, hd)
-        probs.append(p)
+    def forward(part: tuple[np.ndarray, ...]) -> list[np.ndarray]:
+        """One part's tiles: their outputs into its view of ``out``, and their
+        probabilities."""
+        qp, kp, vp, op = part
+        probs = []
+        for s0, s1 in tiles:
+            n, seen = s1 - s0, offset + s1
+            p = rows(qp, s0, s1) @ kp[:, :seen].swapaxes(-1, -2)   # [m, g*n, seen]
+            if n > 1:                          # a one-row tile sees every key it scores
+                np.copyto(p.reshape(len(qp), group, n, seen)[..., seen - n:], -np.inf,
+                          where=_ATTN_HIDDEN[:n, :n])
+            p -= p.max(axis=-1, keepdims=True)     # key 0 is always visible: finite
+            np.exp(p, out=p)
+            p /= p.sum(axis=-1, keepdims=True)
+            op[:, :, s0:s1] = (p @ vp[:, :seen]).reshape(len(qp), group, n, hd)
+            probs.append(p)
+        return probs
+
+    part_probs = list(_map(forward, split(qs, ks, vs, out)))
 
     def grads(g: np.ndarray) -> tuple[np.ndarray, ...]:
-        go = g.reshape(qs.shape)
-        dq = np.empty_like(qs)
-        dk = dv = None
-        # the last tile sees every key, so it sets dk and dv and the others add in
-        for (s0, s1), p in zip(reversed(tiles), reversed(probs)):
-            seen = offset + s1
-            go_t, k_t, v_t = rows(go, s0, s1), k.data[:, :, :seen], v.data[:, :, :seen]
-            dv_t = p.swapaxes(-1, -2) @ go_t
-            ds = go_t @ v_t.swapaxes(-1, -2)
-            ds -= (go_t * rows(out, s0, s1)).sum(axis=-1, keepdims=True)
-            ds *= p
-            np.multiply((ds @ k_t).reshape(B, n_kv, group, s1 - s0, hd), scale,
-                        out=dq[:, :, :, s0:s1])
-            dk_t = ds.swapaxes(-1, -2) @ rows(qs, s0, s1)
-            if dk is None:
-                dk, dv = dk_t, dv_t
-            else:
-                dk[:, :, :seen] += dk_t
-                dv[:, :, :seen] += dv_t
-        return dq.reshape(q.shape), dk, dv
+        def backward(job: tuple[tuple[np.ndarray, ...], list[np.ndarray]]) -> None:
+            """One part's views of dq, dk and dv, from its tiles' probabilities."""
+            (qp, kp, vp, op, gp, dqp, dkp, dvp), probs = job
+            # the last tile sees every key, so it sets dk and dv and the others add in
+            for (s0, s1), p in zip(reversed(tiles), reversed(probs)):
+                seen = offset + s1
+                go_t, k_t, v_t = rows(gp, s0, s1), kp[:, :seen], vp[:, :seen]
+                dv_t = p.swapaxes(-1, -2) @ go_t
+                ds = go_t @ v_t.swapaxes(-1, -2)
+                ds -= (go_t * rows(op, s0, s1)).sum(axis=-1, keepdims=True)
+                ds *= p
+                np.multiply((ds @ k_t).reshape(len(qp), group, s1 - s0, hd), scale,
+                            out=dqp[:, :, s0:s1])
+                dk_t = ds.swapaxes(-1, -2) @ rows(qp, s0, s1)
+                if s1 == S:
+                    dkp[...], dvp[...] = dk_t, dv_t
+                else:
+                    dkp[:, :seen] += dk_t
+                    dvp[:, :seen] += dv_t
+
+        dq, dk, dv = np.empty_like(qs), np.empty_like(ks), np.empty_like(vs)
+        parts = split(qs, ks, vs, out, g.reshape(qs.shape), dq, dk, dv)
+        list(_map(backward, list(zip(parts, part_probs))))
+        return dq.reshape(q.shape), dk.reshape(k.shape), dv.reshape(v.shape)
 
     return _make_joint(out.reshape(q.shape), (q, k, v), grads)
 
@@ -689,8 +748,11 @@ def swiglu_mlp(x: Tensor, w1: Tensor, w2: Tensor, w3: Tensor) -> Tensor:
     """The SwiGLU MLP ``(silu(x @ w1) * (x @ w2)) @ w3`` on [N, d] rows.
 
     ``w1`` and ``w2`` are [d, H] and ``w3`` is [H, d_out].  The sigmoid is
-    the overflow-safe two-branch form.  The node keeps ``x @ w1``, ``x @ w2``
-    and the sigmoid; its backward recomputes the gated product from them.
+    the overflow-safe two-branch form, ``1 / (1 + e)`` or ``e / (1 + e)``
+    with ``e = exp(-|h1|)``, without a branch: the numerator, 1 or e, comes
+    from exact products and sums with the 0/1 sign mask.  The node keeps
+    ``x @ w1``, ``x @ w2`` and the sigmoid; its backward recomputes the
+    gated product from them.
     """
     if (x.ndim != 2 or w1.ndim != 2 or w1.shape != w2.shape or w3.ndim != 2
             or x.shape[1] != w1.shape[0] or w1.shape[1] != w3.shape[0]):
@@ -699,7 +761,10 @@ def swiglu_mlp(x: Tensor, w1: Tensor, w2: Tensor, w3: Tensor) -> Tensor:
     h1 = x.data @ w1.data
     h2 = x.data @ w2.data
     ex = np.exp(-np.abs(h1))
-    sig = np.where(h1 >= 0, 1.0 / (1.0 + ex), ex / (1.0 + ex))
+    pos = h1 >= 0
+    sig = ex * ~pos                             # ex where h1 < 0, else 0 ...
+    sig += pos                                  # ... or 1: exact, so no branch
+    sig /= 1.0 + ex
     out = (h1 * sig * h2) @ w3.data
 
     def grads(g: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -743,8 +808,8 @@ def masked_pinball(q: Tensor, targets: np.ndarray, mask: np.ndarray,
     rho = u * levels
     u *= lower
     take_tau = rho >= u
-    np.copyto(rho, u, where=~take_tau)          # max(tau u, (tau - 1) u)
-    slope = np.where(take_tau, levels, lower)
+    slope = levels * take_tau + lower * ~take_tau   # products by 0 and 1 are exact
+    np.maximum(rho, u, out=rho)                 # max(tau u, (tau - 1) u); a tie keeps rho
     rho *= weight
     loss = np.asarray(rho.sum() * scale)
 

@@ -10,7 +10,8 @@ decay exactly where stage 1 left it and keeps the optimizer state.
 Checkpoints capture params, optimizer buffers, RNG state, stream
 positions, and the step counter; save -> load -> N steps reproduces an
 uninterrupted run bit for bit.  Data generation therefore runs
-synchronously inside the loop.
+synchronously inside the loop.  A checkpoint also records the code digest
+of the package that saved it, so a resume under other code can say so.
 """
 
 from __future__ import annotations
@@ -138,6 +139,7 @@ class Trainer:
         self.step = 0
         self.tokens_seen = 0
         self.levels = losses.quantile_levels(config.n_quantiles)
+        self.saved_code_digest: Optional[str] = None   # set by load, when the file has one
 
     # -- one update ------------------------------------------------------
     def train_step(self, batch: data.TrainBatch, lr_mult: float,
@@ -220,6 +222,7 @@ class Trainer:
 
     # -- checkpointing ----------------------------------------------------------
     def save(self, path: str, sources: Optional[DataSources] = None) -> None:
+        from .config import code_digest      # config imports this module
         tensors = {f"param.{k}": v for k, v in ckpt.params_to_tensors(self.params).items()}
         tensors.update(self.optimizer.state_tensors())
         extra = {
@@ -229,6 +232,7 @@ class Trainer:
             "rng_state": json.loads(json.dumps(self.rng.bit_generator.state)),
             "text_pos": (sources.text_stream.pos
                          if sources and sources.text_stream is not None else 0),
+            "code_digest": code_digest(),
         }
         ckpt.save_checkpoint(path, self.config, tensors, extra)
 
@@ -242,6 +246,7 @@ class Trainer:
             trainer.tokens_seen = int(extra["tokens_seen"])
             trainer.rng.bit_generator.state = extra["rng_state"]
             text_pos = extra["text_pos"]
+            trainer.saved_code_digest = extra.get("code_digest")
         except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"{path}: training state missing or malformed ({exc})") from exc
         trainer.optimizer.load_state_tensors(

@@ -204,3 +204,22 @@ def test_params_that_do_not_fit_the_config_are_data_error(tmp_path):
     with pytest.raises(DataError, match="quantile_head"):
         training.Trainer.load(path)
 
+
+
+def test_loaded_params_are_writable_and_independent(tmp_path):
+    # model_params wraps load_checkpoint's arrays without a second copy, so
+    # each array must be the caller's own: writable and sharing no memory
+    cfg = M.ModelConfig(n_layers=1, d_model=16, n_q_heads=2, n_kv_heads=1,
+                        head_dim=8, patch_len=4, n_quantiles=5, vocab_size=32, max_seq=16)
+    saved = {f"param.{k}": v.data for k, v in M.init_params(cfg, seed=4).items()}
+    path = str(tmp_path / "m.ckpt")
+    C.save_checkpoint(path, cfg, saved)
+    _, tensors, _ = C.load_checkpoint(path)
+    params = C.model_params(cfg, tensors)
+    first, *others = sorted(params)
+    params[first].data += 1.0
+    assert params[first].data.tobytes() == (saved[f"param.{first}"] + 1.0).tobytes()
+    for name in others:
+        assert params[name].data.flags.writeable
+        assert params[name].data.tobytes() == saved[f"param.{name}"].tobytes(), name
+        assert not np.shares_memory(params[name].data, params[first].data)

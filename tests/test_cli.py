@@ -202,21 +202,52 @@ def test_train_resume_matches_config(workdir):
     assert os.path.exists("run_out/stage2.ckpt")
 
 
+def _with_extra(workdir, src, dst, edit):
+    """Copy checkpoint ``src`` to ``dst`` with ``edit`` applied to its manifest's extra."""
+    raw = (workdir / src).read_bytes()
+    (n,) = struct.unpack("<Q", raw[:8])
+    manifest = json.loads(raw[8:8 + n])
+    edit(manifest["extra"])
+    blob = json.dumps(manifest).encode()
+    (workdir / dst).write_bytes(struct.pack("<Q", len(blob)) + blob + raw[8 + n:])
+
+
 @pytest.mark.parametrize("text_pos", ["abc", 10 ** 9, -5])
 def test_train_resume_bad_text_pos_exit_3(workdir, capsys, text_pos):
     _write_training_fixture(workdir)
     assert run("--seed", "1", "train", "--config", "run.toml", "--stage", "1") == 0
-    raw = (workdir / "run_out" / "stage1.ckpt").read_bytes()
-    (n,) = struct.unpack("<Q", raw[:8])
-    manifest = json.loads(raw[8:8 + n])
-    manifest["extra"]["text_pos"] = text_pos
-    blob = json.dumps(manifest).encode()
-    (workdir / "bad.ckpt").write_bytes(struct.pack("<Q", len(blob)) + blob + raw[8 + n:])
+    _with_extra(workdir, "run_out/stage1.ckpt", "bad.ckpt",
+                lambda extra: extra.update(text_pos=text_pos))
     capsys.readouterr()
     assert run("--seed", "1", "train", "--config", "run.toml", "--stage", "2",
                "--resume", "bad.ckpt") == 3
     err = capsys.readouterr().err
     assert "text_pos" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("saved", ["same", "other", "absent"])
+def test_train_resume_names_a_different_code_digest(workdir, capsys, saved):
+    _write_training_fixture(workdir)
+    assert run("--seed", "1", "train", "--config", "run.toml", "--stage", "1") == 0
+    code = cfgmod.code_digest()
+    assert checkpoint.load_checkpoint("run_out/stage1.ckpt")[2]["code_digest"] == code
+    other = "0" * 64
+
+    def edit(extra):
+        if saved == "other":
+            extra["code_digest"] = other
+        elif saved == "absent":
+            del extra["code_digest"]
+    _with_extra(workdir, "run_out/stage1.ckpt", "resume.ckpt", edit)
+    capsys.readouterr()
+    assert run("--seed", "1", "train", "--config", "run.toml", "--stage", "2",
+               "--resume", "resume.ckpt") == 0
+    lines = capsys.readouterr().err.splitlines()
+    if saved == "other":
+        assert len(lines) == 1 and other in lines[0] and code in lines[0], lines
+        assert lines[0].startswith("warning: resume.ckpt ")
+    else:
+        assert lines == []
 
 
 def test_eval_cls(workdir):

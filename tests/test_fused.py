@@ -8,8 +8,10 @@ around a tanh-form sigmoid for the SwiGLU MLP, and for the masked pinball
 loss the eight-node chain ``losses.masked_quantile_loss`` used to build.
 The tiled attention op is also checked against the untiled op it
 replaced, which scored every query row against all keys under one mask,
-and the vocab CE against its serial chunk loop from before its chunks
-went to worker threads, whose loss and gradient bytes it must equal.
+and against its serial tile loop from before its (batch, kv head) slices
+went to worker threads; the vocab CE is checked against its serial chunk
+loop from before its chunks went to worker threads.  The op must equal
+each serial loop's output and gradient bytes.
 """
 
 import gc
@@ -279,8 +281,8 @@ def vocab_case(n, seed):
 @pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.parametrize("n", [1024, 1000, 1025])
 def test_ce_bytes_equal_the_serial_loop_at_any_worker_count(monkeypatch, n, workers):
-    monkeypatch.setattr(T, "_CE_WORKERS", workers)
-    monkeypatch.setattr(T, "_ce_pool", None)     # this test's own pool of that size
+    monkeypatch.setattr(T, "_POOL_WORKERS", workers)
+    monkeypatch.setattr(T, "_pool", None)     # this test's own pool of that size
     rows, table, targets = vocab_case(n, seed=n + workers)
     want = [a.tobytes() for a in serial_ce_reference(rows, table, targets, 15.0)]
     interval = sys.getswitchinterval()
@@ -289,7 +291,7 @@ def test_ce_bytes_equal_the_serial_loop_at_any_worker_count(monkeypatch, n, work
         got = fused_ce_bytes(rows, table, targets)
     finally:
         sys.setswitchinterval(interval)
-        T._ce_pool.shutdown()
+        T._pool.shutdown()
     assert got == want
 
 
@@ -447,6 +449,117 @@ def test_attention_second_backward_across_tiles(S, offset):
 @pytest.mark.parametrize("S,offset", MULTI_TILE_CASES)
 def test_attention_backward_twice_across_tiles(S, offset):
     check_backward_twice_accumulates_exactly_double(24, S, offset)
+
+
+def serial_attention_reference(q, k, v, offset, g=None):
+    """The op's serial tile loop as it was before its (batch, kv head) slices
+    went to worker threads: the output of [B, Hq, S, hd] q and [B, Hkv, T, hd]
+    k and v arrays, and with an output gradient ``g`` also dq, dk and dv."""
+    B, n_q, S, hd = q.shape
+    n_kv = k.shape[1]
+    group = n_q // n_kv
+    scale = q.dtype.type(1.0 / np.sqrt(hd))
+    qs = q.reshape(B, n_kv, group, S, hd) * scale
+    tiles = [(s0, min(s0 + 128, S)) for s0 in range(0, S, 128)]
+
+    def rows(a, s0, s1):
+        return a[:, :, :, s0:s1].reshape(B, n_kv, group * (s1 - s0), hd)
+
+    out = np.empty_like(qs)
+    probs = []
+    for s0, s1 in tiles:
+        n, seen = s1 - s0, offset + s1
+        p = rows(qs, s0, s1) @ k[:, :, :seen].swapaxes(-1, -2)
+        np.copyto(p.reshape(B, n_kv, group, n, seen)[..., seen - n:], -np.inf,
+                  where=~np.tri(n, dtype=bool))
+        p -= p.max(axis=-1, keepdims=True)
+        np.exp(p, out=p)
+        p /= p.sum(axis=-1, keepdims=True)
+        out[:, :, :, s0:s1] = (p @ v[:, :, :seen]).reshape(B, n_kv, group, n, hd)
+        probs.append(p)
+    if g is None:
+        return [out.reshape(q.shape)]
+    go = g.reshape(qs.shape)
+    dq = np.empty_like(qs)
+    dk = dv = None
+    for (s0, s1), p in zip(reversed(tiles), reversed(probs)):
+        seen = offset + s1
+        go_t, k_t, v_t = rows(go, s0, s1), k[:, :, :seen], v[:, :, :seen]
+        dv_t = p.swapaxes(-1, -2) @ go_t
+        ds = go_t @ v_t.swapaxes(-1, -2)
+        ds -= (go_t * rows(out, s0, s1)).sum(axis=-1, keepdims=True)
+        ds *= p
+        np.multiply((ds @ k_t).reshape(B, n_kv, group, s1 - s0, hd), scale,
+                    out=dq[:, :, :, s0:s1])
+        dk_t = ds.swapaxes(-1, -2) @ rows(qs, s0, s1)
+        if dk is None:
+            dk, dv = dk_t, dv_t
+        else:
+            dk[:, :, :seen] += dk_t
+            dv[:, :, :seen] += dv_t
+    return [out.reshape(q.shape), dq.reshape(q.shape), dk, dv]
+
+
+# (B, Hq, Hkv, S, offset, dtype): B*Hkv of 1, 3 and 4 slices, one to four
+# tiles, and a prefill after 37 cached keys
+SPLIT_CASES = [(1, 4, 1, 129, 0, np.float32), (3, 2, 1, 300, 0, np.float64),
+               (2, 4, 2, 512, 0, np.float32), (1, 6, 3, 150, 37, np.float64),
+               (2, 4, 2, 300, 37, np.float32)]
+
+
+def split_case(B, n_q, n_kv, S, offset, dtype):
+    rng = np.random.default_rng(S + offset + B * n_kv)
+    q, k, v, g = (rng.normal(size=(B, heads, n, 16)).astype(dtype)
+                  for heads, n in ((n_q, S), (n_kv, offset + S), (n_kv, offset + S), (n_q, S)))
+    return q, k, v, g
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("case", SPLIT_CASES, ids=lambda c: f"B{c[0]}x{c[2]}-S{c[3]}-off{c[4]}")
+def test_attention_bytes_equal_the_serial_loop_at_any_worker_count(monkeypatch, case, workers):
+    monkeypatch.setattr(T, "_ATTN_SPLIT_SCORES", 1)    # every call splits its slices
+    monkeypatch.setattr(T, "_POOL_WORKERS", workers)
+    monkeypatch.setattr(T, "_pool", None)              # this test's own pool of that size
+    q, k, v, g = split_case(*case)
+    offset = case[4]
+    want = [a.tobytes() for a in serial_attention_reference(q, k, v, offset, g)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)      # hand the GIL between the workers as often as it can
+    try:
+        out = T.causal_gqa_attention(*(Tensor(a, requires_grad=True) for a in (q, k, v)), offset)
+        got = [out.data.tobytes()] + [a.tobytes() for a in raw_grads(out, g)]
+        with T.no_grad():
+            no_grad = T.causal_gqa_attention(Tensor(q), Tensor(k), Tensor(v), offset).data
+    finally:
+        sys.setswitchinterval(interval)
+        if T._pool is not None:
+            T._pool.shutdown()
+    assert got == want
+    assert no_grad.tobytes() == want[0]
+
+
+def test_attention_splits_only_graph_calls_with_enough_scores(monkeypatch):
+    # 2 x 4 heads over 512 queries compute 2^20.3 scores and, building a graph,
+    # split.  The same call without a graph, a decode step, a 256-query
+    # prefill of one sequence (2^17.6 scores) and a 512-query pass over one kv
+    # head (one slice) stay on the calling thread.
+    used = []
+    executor = T._executor
+    monkeypatch.setattr(T, "_executor", lambda: used.append(1) or executor())
+
+    def call(case, grad=True):
+        q, k, v, _ = split_case(*case)
+        T.causal_gqa_attention(*(Tensor(a, requires_grad=grad) for a in (q, k, v)), case[4])
+
+    for case in [(1, 4, 2, 1, 300, np.float32), (1, 4, 2, 256, 0, np.float32),
+                 (1, 4, 1, 512, 0, np.float32)]:
+        call(case)
+    call(SPLIT_CASES[2], grad=False)
+    with T.no_grad():
+        call(SPLIT_CASES[2])
+    assert used == []
+    call(SPLIT_CASES[2])
+    assert used == [1]
 
 
 def test_attention_no_grad_builds_no_graph():

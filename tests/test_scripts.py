@@ -18,12 +18,12 @@ def test_digest_script_prints_the_digest_map():
                           env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     digests = json.loads(done.stdout)
-    assert len(digests) == 138
+    assert len(digests) == 146
     assert all(name.split(".")[0] in ("patch", "batch", "train", "forecast", "embed", "fixed",
                                       "deep", "qloss", "attn")
                for name in digests)
     assert sum(name.startswith("qloss.") for name in digests) == 10
-    assert sum(name.startswith("attn.") for name in digests) == 16
+    assert sum(name.startswith("attn.") for name in digests) == 24
     assert sum(name.startswith("fixed.") for name in digests) == 23
     assert sum(name.startswith("deep.") for name in digests) == 25
     assert all(re.fullmatch(r"[0-9a-f]{64}", value) for value in digests.values())

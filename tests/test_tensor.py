@@ -298,30 +298,58 @@ def _ce_bytes(n, seed=3):
     return loss.data.tobytes() + rows.grad.tobytes() + table.grad.tobytes()
 
 
-def test_import_and_a_one_chunk_ce_start_no_thread():
-    code = ("import threading\nimport numpy as np\nimport patchlm.tensor as T\n"
-            "rng = np.random.default_rng(0)\n"
-            "rows = T.Tensor(rng.normal(size=(256, 16)).astype(np.float32), requires_grad=True)\n"
-            "table = T.Tensor(rng.normal(size=(4096, 16)).astype(np.float32), requires_grad=True)\n"
-            "T.softcapped_cross_entropy(rows, table, rng.integers(0, 4096, 256), 15.0).backward()\n"
-            "print(threading.active_count())\n")
+def _threads_in_a_child(code):
+    """``threading.active_count()`` after ``code`` runs in a fresh process that
+    has imported numpy as np and patchlm.tensor as T."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(T.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
+    code = ("import threading\nimport numpy as np\nimport patchlm.tensor as T\n"
+            "rng = np.random.default_rng(0)\n" + code + "print(threading.active_count())\n")
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "1"
+    return int(done.stdout)
+
+
+def test_import_and_a_one_chunk_ce_start_no_thread():
+    assert _threads_in_a_child(
+        "rows = T.Tensor(rng.normal(size=(256, 16)).astype(np.float32), requires_grad=True)\n"
+        "table = T.Tensor(rng.normal(size=(4096, 16)).astype(np.float32), requires_grad=True)\n"
+        "T.softcapped_cross_entropy(rows, table, rng.integers(0, 4096, 256), 15.0).backward()\n"
+    ) == 1
+
+
+def test_one_tile_attention_starts_no_thread():
+    # a 128-query training pass with its backward, then a decode step after 300 keys
+    assert _threads_in_a_child(
+        "q, k, v = (T.Tensor(rng.normal(size=(2, h, 128, 16)).astype(np.float32),\n"
+        "                    requires_grad=True) for h in (4, 2, 2))\n"
+        "T.tsum(T.causal_gqa_attention(q, k, v, 0)).backward()\n"
+        "q, k, v = (T.Tensor(rng.normal(size=(1, h, n, 16)).astype(np.float32))\n"
+        "           for h, n in ((4, 1), (2, 301), (2, 301)))\n"
+        "with T.no_grad():\n    T.causal_gqa_attention(q, k, v, 300)\n"
+    ) == 1
+
+
+def _attention_bytes(B=2, S=512, seed=5):
+    """The q, k and v gradient bytes of an attention call that splits its slices."""
+    rng = np.random.default_rng(seed)
+    q, k, v = (T.Tensor(rng.normal(size=(B, h, S, 16)).astype(np.float32), requires_grad=True)
+               for h in (4, 2, 2))
+    T.tsum(T.causal_gqa_attention(q, k, v, 0)).backward()
+    return b"".join(a.tobytes() for a in (q.grad, k.grad, v.grad))
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_forked_child_runs_a_multi_chunk_ce_on_its_own_pool():
-    want = _ce_bytes(1000)               # four chunks: the pool exists from here on
-    assert T._ce_pool is not None
+    # four CE chunks and a split attention: the pool exists from here on
+    want = _ce_bytes(1000), _attention_bytes()
+    assert T._pool is not None
     pid = os.fork()
     if pid == 0:                         # the child never returns into pytest
         status = 1
         try:
-            status = 0 if _ce_bytes(1000) == want else 1
+            status = 0 if (_ce_bytes(1000), _attention_bytes()) == want else 1
         finally:
             os._exit(status)
     deadline = time.monotonic() + 60
