@@ -17,6 +17,10 @@ The map covers:
 - ``deep.*``: the records and parameters of one 30-step interleaved run of
   a 2-layer model at seq_len 16, and the forecasts and embeddings above
   with its parameters, so that state shared across layers shows too;
+- ``kv.*``: forecasts whose text prefix, context and horizon use exactly
+  ``max_seq`` positions of the KV cache, at 1 and 3 channels, with and
+  without a text prefix, with the fixed parameters and (``kv.deep.*``)
+  the 2-layer run's;
 - ``codec.patchify`` features, as [C*n, 4P] rows: one channel that fits
   whole patches, a padded last patch, interior NaNs, three gappy channels,
   P = 1, P > L, and explicit stats on a front-NaN-padded context;
@@ -268,6 +272,21 @@ def inference_digests(params: dict, out: dict, prefix: str = "",
                 *(a for r in results for a in (r.quantiles, r.median)))
 
 
+def kv_digests(params: dict, out: dict, prefix: str = "kv.",
+               config: M.ModelConfig = CONFIG) -> None:
+    rng = np.random.default_rng(31)
+    n_context = 22                     # patches, the last one padded
+    for channels in (1, 3):
+        for text_ids in ((), (3, 1, 7)):
+            # the prefix, the context's patches and every generated patch but
+            # the last (never fed back) fill the cache to exactly max_seq
+            horizon = (config.max_seq - len(text_ids) - n_context + 1) * P - 1
+            series = gappy_series(rng, channels, n_context * P - 2)
+            results = inference.forecast_series(params, config, series, horizon, text_ids)
+            out[f"{prefix}c{channels}.text{len(text_ids)}"] = digest(
+                *(a for r in results for a in (r.quantiles, r.median)))
+
+
 def main() -> None:
     tree = os.path.realpath(os.path.dirname(os.path.dirname(T.__file__)))
     print(f"digesting {tree}", file=sys.stderr)
@@ -282,6 +301,8 @@ def main() -> None:
     inference_digests(fixed_params(), out, prefix="fixed.")
     deep = train(DEEP, vocab, 16, RUNS["interleaved"], out, "deep.train.interleaved.S16")
     inference_digests(deep, out, prefix="deep.", config=DEEP)
+    kv_digests(fixed_params(), out)
+    kv_digests(deep, out, prefix="kv.deep.", config=DEEP)
     print(json.dumps(out, indent=1, sort_keys=True))
 
 

@@ -14,14 +14,17 @@ seed, the package source (``code_digest``) and its settings, in which every
 ``InputPath`` (a file the run reads, such as a CLI input flag or a
 ``[data]`` path) stands for the SHA-256 of its content.  ``write_manifest``
 records that hash, the code digest and the numeric platform (numpy and BLAS
-versions, outside the hash) with the input and output digests.
+versions and the BLAS kernel, outside the hash) with the input and output
+digests.
 """
 
 from __future__ import annotations
 
+import ctypes
 import dataclasses
 import functools
 import hashlib
+import itertools
 import json
 import pathlib
 import tomllib
@@ -155,14 +158,34 @@ def code_digest() -> str:
     return h.hexdigest()
 
 
+def _blas_core() -> str:
+    """The kernel that OpenBLAS's ``DYNAMIC_ARCH`` picked at run time, such as
+    SkylakeX, read from the BLAS that numpy's core module links; "?" where no
+    ``*openblas_get_corename*`` symbol is found.  numpy's build config names
+    only the build's target, which can differ."""
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+    except (AttributeError, OSError):
+        return "?"
+    for prefix, suffix in itertools.product(("scipy_", ""), ("64_", "")):
+        corename = getattr(lib, f"{prefix}openblas_get_corename{suffix}", None)
+        if corename is not None:
+            corename.argtypes = ()
+            corename.restype = ctypes.c_char_p
+            return (corename() or b"?").decode()
+    return "?"
+
+
 @functools.cache
 def numeric_platform() -> dict[str, str]:
-    """The numpy version and its BLAS build's name and version.  Manifests
-    record them but run hashes leave them out: equal bytes are promised for
-    one numpy + BLAS build, since a BLAS kernel choice changes last bits."""
+    """The numpy version, its BLAS build's name and version, and the BLAS
+    kernel picked at run time.  Manifests record them but run hashes leave
+    them out: equal bytes are promised for one numpy + BLAS build on one
+    kernel, since a BLAS kernel choice changes last bits."""
     blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
     return {"numpy_version": np.__version__,
-            "blas": f"{blas.get('name', '?')} {blas.get('version', '?')}"}
+            "blas": f"{blas.get('name', '?')} {blas.get('version', '?')}",
+            "blas_core": _blas_core()}
 
 
 def run_identity(command: str, config: Any,

@@ -13,7 +13,10 @@ start at zero so the whole stack is the identity on the residual stream
 at initialization.
 
 The residual stream is [B·S, d] rows, row-major by position, from
-``embed_sequence`` to the final norm; only attention splits it into heads.
+``embed_sequence`` to the final norm; only attention splits it into heads
+(one ``tensor.split_heads`` node per projection, one ``merge_heads`` back).
+A pass of one modality takes that modality's rows as they are; a mixed
+pass scatters both into position order.
 ``forward_hidden`` works out a pass's positions, ``max_seq`` check and
 RoPE tables once, and hands the final-norm rows to the heads as they are:
 row b·S + s is position s of sequence b.
@@ -176,23 +179,41 @@ def soft_cap(logits: Tensor, alpha: float) -> Tensor:
 # ---------------------------------------------------------------------
 
 class KVCache:
-    """Per-layer K/V buffers for incremental decoding (inference only)."""
+    """Per-layer K/V buffers for incremental decoding (inference only).
+
+    A layer's first ``extend`` allocates one [B, Hkv, max_seq, hd] buffer
+    each for K and V.  Every call writes its new positions in place and
+    returns views of the positions held so far, so no step copies the cache.
+    """
 
     def __init__(self, config: ModelConfig):
         self.length = 0
+        self.capacity = config.max_seq
+        self._held = [0] * config.n_layers
         self._k: list[Optional[np.ndarray]] = [None] * config.n_layers
         self._v: list[Optional[np.ndarray]] = [None] * config.n_layers
 
     def extend(self, layer: int, k_new: np.ndarray, v_new: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        held = 0 if self._k[layer] is None else self._k[layer].shape[2]
+        held = self._held[layer]
         if held != self.length:
             raise CacheError(f"layer {layer} cache out of sync ({held} != {self.length})")
+        end = held + k_new.shape[2]
+        if end > self.capacity:
+            raise CacheError(f"layer {layer} cache holds {self.capacity} positions, "
+                             f"not {held} + {k_new.shape[2]}")
         if self._k[layer] is None:
-            self._k[layer], self._v[layer] = k_new, v_new
-        else:
-            self._k[layer] = np.concatenate([self._k[layer], k_new], axis=2)
-            self._v[layer] = np.concatenate([self._v[layer], v_new], axis=2)
-        return self._k[layer], self._v[layer]
+            B, n_kv, _, hd = k_new.shape
+            self._k[layer] = np.empty((B, n_kv, self.capacity, hd), k_new.dtype)
+            self._v[layer] = np.empty_like(self._k[layer])
+        k, v = self._k[layer], self._v[layer]
+        fits = (k.shape[0], k.shape[1], end - held, k.shape[3])
+        if k_new.shape != fits or v_new.shape != fits:
+            raise CacheError(f"layer {layer} cache takes {list(fits)} K/V, "
+                             f"got {list(k_new.shape)} and {list(v_new.shape)}")
+        k[:, :, held:end] = k_new
+        v[:, :, held:end] = v_new
+        self._held[layer] = end
+        return k[:, :, :end], v[:, :, :end]
 
     def advance(self, n_new: int) -> None:
         if n_new <= 0:
@@ -216,22 +237,18 @@ def embed_sequence(params: dict[str, Tensor], config: ModelConfig, inputs: Input
         text_ids = flat_ids[text_pos]
         if text_ids.min() < 0 or text_ids.max() >= config.vocab_size:
             raise DataError(f"token ids must be in [0, {config.vocab_size}) or {PATCH}")
-        tok = T.gather_rows(params["tok_emb"], text_ids)
-        pieces.append(T.scatter_rows(n, text_pos, tok))
+        pieces.append((text_pos, T.gather_rows(params["tok_emb"], text_ids)))
     if len(ts_pos):
         if inputs.patches.ndim != 2 or inputs.patches.shape[1] != 4 * config.patch_len:
             raise DimensionError(f"patch features must be 4P={4 * config.patch_len} wide")
         feats = Tensor(inputs.patches.astype(params["patch_proj"].data.dtype))
         proj = T.matmul(feats, params["patch_proj"])
-        proj = T.rmsnorm(proj, params["patch_norm"], NORM_EPS)
-        pieces.append(T.scatter_rows(n, ts_pos, proj))
-    flat = pieces[0] if len(pieces) == 1 else T.add(pieces[0], pieces[1])
+        pieces.append((ts_pos, T.rmsnorm(proj, params["patch_norm"], NORM_EPS)))
+    if len(pieces) == 1:
+        flat = pieces[0][1]           # one modality fills every position, in order
+    else:
+        flat = T.add(*(T.scatter_rows(n, pos, rows) for pos, rows in pieces))
     return T.rmsnorm(flat, params["post_emb_norm"], NORM_EPS)
-
-
-def _split_heads(rows: Tensor, S: int, n_heads: int, head_dim: int) -> Tensor:
-    """[B·S, n_heads·hd] rows -> [B, n_heads, S, hd]."""
-    return T.transpose(T.reshape(rows, (-1, S, n_heads, head_dim)), (0, 2, 1, 3))
 
 
 def attention_gqa(params: dict[str, Tensor], config: ModelConfig, layer: int,
@@ -242,21 +259,19 @@ def attention_gqa(params: dict[str, Tensor], config: ModelConfig, layer: int,
     p = f"blocks.{layer}."
     cos, sin = rope
     S = len(cos)
-    hd = config.head_dim
-    q = _split_heads(T.matmul(x, params[p + "wq"]), S, config.n_q_heads, hd)
-    k = _split_heads(T.matmul(x, params[p + "wk"]), S, config.n_kv_heads, hd)
-    v = _split_heads(T.matmul(x, params[p + "wv"]), S, config.n_kv_heads, hd)
+    q = T.split_heads(T.matmul(x, params[p + "wq"]), S, config.n_q_heads)
+    k = T.split_heads(T.matmul(x, params[p + "wk"]), S, config.n_kv_heads)
+    v = T.split_heads(T.matmul(x, params[p + "wv"]), S, config.n_kv_heads)
     q = T.rope(T.rmsnorm(q, params[p + "q_norm"], NORM_EPS), cos, sin)
     k = T.rope(T.rmsnorm(k, params[p + "k_norm"], NORM_EPS), cos, sin)
 
     if cache is not None:
         if T.grad_enabled() and x.requires_grad:
             raise CacheError("KV cache is inference-only; wrap generation in no_grad()")
-        k, v = map(Tensor, cache.extend(layer, k.data, v.data))
+        k, v = map(T.view, cache.extend(layer, k.data, v.data))
     # [B, Hq, S, hd]: the S queries follow the keys already cached
     ctx = T.causal_gqa_attention(q, k, v, k.shape[2] - S)
-    merged = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (x.shape[0], config.n_q_heads * hd))
-    return T.matmul(merged, params[p + "wo"])
+    return T.matmul(T.merge_heads(ctx), params[p + "wo"])
 
 
 def block_forward(params: dict[str, Tensor], config: ModelConfig, layer: int,

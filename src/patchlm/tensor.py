@@ -2,7 +2,10 @@
 
 Design rules kept deliberately strict so every backward rule stays auditable:
 
-* row-major contiguous float32/float64 buffers, shapes always explicit;
+* row-major contiguous float32/float64 buffers, shapes always explicit.
+  The one exception is graph-free: ``view`` wraps an array as it is, so
+  attention reads a KV cache's prefix, a strided view of its buffer, without
+  a copy;
 * no silent broadcasting between two tensors -- binary ops demand equal
   shapes (constants may broadcast via ``add_const``/``mul_const`` as long
   as the result keeps the tensor operand's shape);
@@ -33,6 +36,12 @@ Five fused ops carry the hot paths of a train step:
 * ``swiglu_mlp`` -- a block's SwiGLU MLP as one node, with the same float
   ops in the same order as the generic-op chain it replaces.
 * ``masked_pinball`` -- the masked quantile (pinball) loss as one node.
+
+Two shape ops carry attention's head layout, each one node with one copy:
+``split_heads`` turns [B·S, H·hd] rows into [B, H, S, hd] heads and
+``merge_heads`` turns them back; each one's backward is the other's
+forward.  ``rmsnorm`` takes its mean square without ``np.mean``'s wrapper,
+at the same bits.
 
 The pinball op takes [..., Q] quantiles, the targets and mask without the
 Q axis, and the Q levels.  It runs the float ops of the eight-node chain
@@ -348,6 +357,41 @@ def transpose(a: Tensor, axes) -> Tensor:
     return _make(np.ascontiguousarray(a.data.transpose(axes)), [(a, lambda g: g.transpose(inv))])
 
 
+def _to_heads(rows: np.ndarray, S: int, n_heads: int) -> np.ndarray:
+    """[B·S, H·hd] rows -> a contiguous [B, H, S, hd] copy."""
+    return np.ascontiguousarray(
+        rows.reshape(-1, S, n_heads, rows.shape[1] // n_heads).transpose(0, 2, 1, 3))
+
+
+def _to_rows(heads: np.ndarray) -> np.ndarray:
+    """[B, H, S, hd] -> a contiguous [B·S, H·hd] copy."""
+    B, H, S, hd = heads.shape
+    return np.ascontiguousarray(heads.transpose(0, 2, 1, 3)).reshape(B * S, H * hd)
+
+
+def split_heads(rows: Tensor, S: int, n_heads: int) -> Tensor:
+    """[B·S, H·hd] rows, row b·S + s being position s of sequence b, ->
+    [B, H, S, hd] heads as one node; its backward is ``merge_heads``."""
+    if rows.ndim != 2 or S < 1 or rows.shape[0] % S or rows.shape[1] % n_heads:
+        raise DimensionError(f"split_heads: {rows.shape} rows into {n_heads} heads of {S}")
+    return _make(_to_heads(rows.data, S, n_heads), [(rows, lambda g: _to_rows(g))])
+
+
+def merge_heads(heads: Tensor) -> Tensor:
+    """[B, H, S, hd] heads -> [B·S, H·hd] rows as one node; the inverse of
+    ``split_heads``."""
+    if heads.ndim != 4:
+        raise DimensionError(f"merge_heads: {heads.shape} is not [B, H, S, hd]")
+    S, n_heads = heads.shape[2], heads.shape[1]
+    return _make(_to_rows(heads.data), [(heads, lambda g: _to_heads(g, S, n_heads))])
+
+
+def view(data: np.ndarray) -> Tensor:
+    """A graph-free tensor over the float array ``data`` as it is, without a
+    copy, so ``data`` may be a strided view (a KV cache's prefix)."""
+    return _make(data, ())
+
+
 # ---------------------------------------------------------------------
 # gather / scatter
 # ---------------------------------------------------------------------
@@ -452,12 +496,25 @@ def log_softmax(a: Tensor) -> Tensor:
 # rmsnorm
 # ---------------------------------------------------------------------
 
+def _mean_square(a: np.ndarray) -> np.ndarray:
+    """``np.mean(a * a, axis=-1, keepdims=True)``, bit for bit, without its
+    wrapper.  np.mean divides the sum by the count in float64 and rounds the
+    quotient to a's dtype; for float32 that is the correctly rounded float32
+    quotient (53 >= 2*24 + 2 bits), which ``/=`` computes directly."""
+    ms = np.add.reduce(a * a, axis=-1, keepdims=True)
+    ms /= a.shape[-1]
+    return ms
+
+
 def rmsnorm(x: Tensor, scale: Tensor, eps: float = 1e-6) -> Tensor:
     """y = x / sqrt(mean(x^2) + eps) * scale over the last axis."""
     if scale.ndim != 1 or scale.shape[0] != x.shape[-1]:
         raise DimensionError(f"rmsnorm scale {scale.shape} incompatible with {x.shape}")
     d = x.shape[-1]
-    r = 1.0 / np.sqrt(np.mean(x.data * x.data, axis=-1, keepdims=True) + eps)
+    r = _mean_square(x.data)
+    r += eps
+    np.sqrt(r, out=r)
+    np.divide(1.0, r, out=r)
     y = x.data * r * scale.data
 
     def bw_x(g):
@@ -480,19 +537,14 @@ def rope(x: Tensor, cos: np.ndarray, sin: np.ndarray) -> Tensor:
 
     Pair j is (x[..., j], x[..., j + hd/2]) and turns by the angle whose
     cosine and sine are ``cos[..., j]`` and ``sin[..., j]``: it becomes
-    (x1 cos - x2 sin, x1 sin + x2 cos).  The tables broadcast against
-    x[..., :hd/2], e.g. [S, hd/2] tables for a [B, H, S, hd] x.  The
+    (x1 cos - x2 sin, x1 sin + x2 cos).  The tables are [S, hd/2], one row
+    per position of x's second-last axis, e.g. for a [B, H, S, hd] x.  The
     backward applies the inverse rotation, the same formula at -sin.
     """
     half = x.shape[-1] // 2
-    pairs = x.shape[:-1] + (half,)
     cos = np.asarray(cos, dtype=x.data.dtype)
     sin = np.asarray(sin, dtype=x.data.dtype)
-    try:
-        fits = x.shape[-1] % 2 == 0 and np.broadcast_shapes(cos.shape, sin.shape, pairs) == pairs
-    except ValueError:
-        fits = False
-    if not fits:
+    if x.ndim < 2 or x.shape[-1] % 2 or cos.shape != (x.shape[-2], half) or sin.shape != cos.shape:
         raise DimensionError(f"rope: tables {cos.shape}, {sin.shape} do not fit x {x.shape}")
 
     def rotate(a: np.ndarray, s: np.ndarray) -> np.ndarray:

@@ -283,11 +283,17 @@ def test_manifest_identical_for_identical_runs(workdir, monkeypatch):
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     assert m1["numpy_version"] == np.__version__
     assert m1["blas"] == f"{blas['name']} {blas['version']}"
+    # the kernel picked at run time: a name from the BLAS itself, or "?"
+    assert m1["blas_core"] == m2["blas_core"] == cfgmod._blas_core()
+    assert m1["blas_core"] == "?" or re.fullmatch(r"\w+", m1["blas_core"])
+    if blas["name"].startswith("scipy-openblas"):
+        assert m1["blas_core"] != "?"
     monkeypatch.setattr(cfgmod, "numeric_platform",
-                        lambda: {"numpy_version": "0.0", "blas": "other 0.0"})
+                        lambda: {"numpy_version": "0.0", "blas": "other 0.0",
+                                 "blas_core": "Other"})
     run("--seed", "9", "synth", "generate", "--n", "2", "--len", "32", "--out", "s3.jsonl")
     m3 = json.load(open("s3.jsonl.manifest.json"))
-    assert (m3["numpy_version"], m3["blas"]) == ("0.0", "other 0.0")
+    assert (m3["numpy_version"], m3["blas"], m3["blas_core"]) == ("0.0", "other 0.0", "Other")
     assert m3["config_hash"] == m1["config_hash"]
 
 

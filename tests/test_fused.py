@@ -5,7 +5,9 @@ log-softmax -> gather for the vocab head, repeated K/V -> scaled scores ->
 causal mask -> softmax -> weighted values for attention, one [hd, hd]
 matrix of 2x2 rotation blocks per position for RoPE, three matmuls
 around a tanh-form sigmoid for the SwiGLU MLP, and for the masked pinball
-loss the eight-node chain ``losses.masked_quantile_loss`` used to build.
+loss the eight-node chain ``losses.masked_quantile_loss`` used to build,
+and for the head split and merge the reshape and transpose pair each of
+them replaces.
 The tiled attention op is also checked against the untiled op it
 replaced, which scored every query row against all keys under one mask,
 and against its serial tile loop from before its (batch, kv head) slices
@@ -629,6 +631,99 @@ def test_rope_rejects_bad_tables():
         T.rope(x, cos, np.zeros((3, 3)))             # hd/2 + 1 angles per position
     with pytest.raises(DimensionError):
         T.rope(Tensor(np.ones((1, 1, 3, 3))), cos[:, :1], sin[:, :1])   # odd head dim
+
+
+# ---------------------------------------------------------------------
+# split_heads / merge_heads
+# ---------------------------------------------------------------------
+
+def split_heads_oracle(rows, S, n_heads):
+    """The reshape -> transpose chain that split_heads replaces."""
+    return T.transpose(T.reshape(rows, (-1, S, n_heads, rows.shape[1] // n_heads)),
+                       (0, 2, 1, 3))
+
+
+def merge_heads_oracle(heads):
+    """The transpose -> reshape chain that merge_heads replaces."""
+    B, H, S, hd = heads.shape
+    return T.reshape(T.transpose(heads, (0, 2, 1, 3)), (B * S, H * hd))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("B,S", [(B, S) for B in (1, 3) for S in (1, 5, 129)])
+def test_head_ops_bytes_equal_the_reshape_transpose_chain(B, S, dtype):
+    rng = np.random.default_rng(100 * B + S)
+    H, hd = 3, 4
+    rows = Tensor(rng.normal(size=(B * S, H * hd)).astype(dtype), requires_grad=True)
+    heads = Tensor(rng.normal(size=(B, H, S, hd)).astype(dtype), requires_grad=True)
+    for op, oracle, x in ((lambda r: T.split_heads(r, S, H),
+                           lambda r: split_heads_oracle(r, S, H), rows),
+                          (T.merge_heads, merge_heads_oracle, heads)):
+        got, want = op(x), oracle(x)
+        assert got.data.flags.c_contiguous and got.data.dtype == dtype
+        assert got.shape == want.shape and got.data.tobytes() == want.data.tobytes()
+        probe = Tensor(rng.normal(size=got.shape).astype(dtype))
+        g_got = leaf_grads(T.tsum(T.mul(got, probe)), [x])[0]
+        g_want = leaf_grads(T.tsum(T.mul(want, probe)), [x])[0]
+        assert g_got.dtype == dtype and g_got.tobytes() == g_want.tobytes()
+    assert T.merge_heads(T.split_heads(rows, S, H)).data.tobytes() == rows.data.tobytes()
+
+
+def test_head_ops_grad_check():
+    rng = np.random.default_rng(70)
+    rows = t64(rng.normal(size=(2 * 5, 3 * 4)))
+    probe = Tensor(rng.normal(size=rows.shape))
+
+    def loss():
+        heads = T.split_heads(rows, 5, 3)
+        return T.tsum(T.mul(T.merge_heads(T.mul(heads, heads)), probe))
+
+    assert_fd(loss, [("rows", rows)])
+
+
+def test_head_ops_are_one_node_each_and_check_shapes():
+    rows = t64(np.ones((6, 8)))
+    heads = T.split_heads(rows, 3, 2)
+    merged = T.merge_heads(heads)
+    assert heads.shape == (2, 2, 3, 4) and merged.shape == (6, 8)
+    assert len(heads._rules) == 1 and heads._rules[0][0] is rows
+    assert len(merged._rules) == 1 and merged._rules[0][0] is heads
+    for bad in ((rows, 4, 2), (rows, 3, 3), (t64(np.ones(6)), 3, 2)):
+        with pytest.raises(DimensionError):
+            T.split_heads(*bad)
+    with pytest.raises(DimensionError):
+        T.merge_heads(rows)
+
+
+def graph_ops(out):
+    """The op of each node in ``out``'s graph, named by its first rule."""
+    ops, seen, stack = [], set(), [out]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            ops.extend(fn.__qualname__.split(".")[0] for _, fn in node._rules[:1])
+            stack.extend(parent for parent, _ in node._rules)
+    return ops
+
+
+@pytest.mark.parametrize("layout", ["text", "patches", "mixed"])
+def test_forward_census_head_ops_and_scatters_only_for_mixed_passes(layout):
+    """One split per projection and one merge per layer, no reshape or
+    transpose; a one-modality pass uses its rows as they are, and a mixed
+    pass scatters both modalities."""
+    cfg = M.ModelConfig(n_layers=2, d_model=8, n_q_heads=2, n_kv_heads=1, head_dim=4,
+                        patch_len=2, n_quantiles=3, vocab_size=32, max_seq=16)
+    params = M.init_params(cfg, seed=71, dtype=np.float64)
+    P = M.PATCH
+    ids = np.array({"text": [[1, 5, 9], [2, 7, 3]], "patches": [[P, P, P], [P, P, P]],
+                    "mixed": [[1, P, 9], [P, 2, P]]}[layout])
+    feats = np.random.default_rng(72).normal(size=(int((ids == P).sum()), 4 * cfg.patch_len))
+    ops = graph_ops(M.forward_hidden(params, cfg, M.Inputs(ids, feats)))
+    assert ops.count("scatter_rows") == (2 if layout == "mixed" else 0)
+    assert ops.count("split_heads") == 3 * cfg.n_layers
+    assert ops.count("merge_heads") == cfg.n_layers
+    assert "reshape" not in ops and "transpose" not in ops
 
 
 # ---------------------------------------------------------------------

@@ -341,6 +341,102 @@ def test_kv_cache_matches_full_recompute_across_query_tiles():
     assert np.abs(inc - full).max() <= 1e-5
 
 
+class ConcatKVCache:
+    """The KV cache before it was written in place: each extend concatenates
+    the new positions onto the cached ones."""
+
+    def __init__(self, config):
+        self.length = 0
+        self._k = [None] * config.n_layers
+        self._v = [None] * config.n_layers
+
+    def extend(self, layer, k_new, v_new):
+        held = 0 if self._k[layer] is None else self._k[layer].shape[2]
+        if held != self.length:
+            raise CacheError(f"layer {layer} cache out of sync ({held} != {self.length})")
+        if self._k[layer] is None:
+            self._k[layer], self._v[layer] = k_new, v_new
+        else:
+            self._k[layer] = np.concatenate([self._k[layer], k_new], axis=2)
+            self._v[layer] = np.concatenate([self._v[layer], v_new], axis=2)
+        return self._k[layer], self._v[layer]
+
+    def advance(self, n_new):
+        self.length += n_new
+
+
+@pytest.mark.parametrize("channels,n_text", [(1, 0), (3, 0), (1, 3), (3, 3)])
+def test_kv_cache_bytes_equal_the_concatenating_cache_up_to_max_seq(channels, n_text):
+    """A prefill of a text prefix and 5 patches, then one-patch decode steps
+    until the cache holds exactly max_seq positions: every pass's rows and
+    every extend's K/V equal the concatenating cache's bytes, and each
+    layer's K/V are views of one buffer of max_seq positions."""
+    cfg = tiny_config(max_seq=20)
+    params = M.init_params(cfg, seed=14)
+    rng = np.random.default_rng(15)
+    for p in params.values():
+        if p.data.ndim == 2 and not p.data.any():
+            p.data[:] = rng.normal(0, 0.2, size=p.shape).astype(np.float32)
+    steps = [np.concatenate([np.tile(rng.integers(0, cfg.vocab_size, n_text), (channels, 1)),
+                             np.full((channels, 5), M.PATCH)], axis=1)]
+    steps += [np.full((channels, 1), M.PATCH)] * (cfg.max_seq - steps[0].shape[1])
+    feats = [rng.normal(size=(int((ids == M.PATCH).sum()), 4 * cfg.patch_len)) for ids in steps]
+
+    def run(cache):
+        calls = []
+        extend = cache.extend
+        cache.extend = lambda *args: calls.append(extend(*args)) or calls[-1]
+        with T.no_grad():
+            rows = [M.forward_hidden(params, cfg, M.Inputs(ids, f.astype(np.float32)),
+                                     cache=cache).data for ids, f in zip(steps, feats)]
+        return rows, calls
+
+    cache = M.KVCache(cfg)
+    rows, calls = run(cache)
+    want_rows, want_calls = run(ConcatKVCache(cfg))
+    assert cache.length == cfg.max_seq
+    assert [r.tobytes() for r in rows] == [r.tobytes() for r in want_rows]
+    assert len(calls) == len(steps) * cfg.n_layers
+    for (k, v), (want_k, want_v) in zip(calls, want_calls):
+        assert k.shape == want_k.shape and k.tobytes() == want_k.tobytes()
+        assert v.shape == want_v.shape and v.tobytes() == want_v.tobytes()
+    for layer in range(cfg.n_layers):
+        ks, vs = zip(*calls[layer::cfg.n_layers])
+        for held in (ks, vs):
+            buffer = held[0].base
+            assert buffer.shape == (channels, cfg.n_kv_heads, cfg.max_seq, cfg.head_dim)
+            assert all(a.base is buffer for a in held)
+        assert not np.shares_memory(ks[0].base, vs[0].base)
+    assert not np.shares_memory(calls[0][0], calls[1][0])
+
+
+def test_kv_cache_extend_past_capacity_is_a_cache_error():
+    cfg = tiny_config(max_seq=6)
+    kv = np.zeros((2, cfg.n_kv_heads, 7, cfg.head_dim), dtype=np.float32)
+    with pytest.raises(CacheError, match="^layer 0 cache holds 6 positions, not 0 \\+ 7$"):
+        M.KVCache(cfg).extend(0, kv, kv)
+    cache = M.KVCache(cfg)
+    k, _ = cache.extend(1, kv[:, :, :6], kv[:, :, :6])
+    cache.advance(6)
+    assert k.shape[2] == 6
+    with pytest.raises(CacheError, match="^layer 1 cache holds 6 positions, not 6 \\+ 1$"):
+        cache.extend(1, kv[:, :, :1], kv[:, :, :1])
+    with pytest.raises(CacheError, match="out of sync"):
+        cache.extend(0, kv[:, :, :1], kv[:, :, :1])
+
+
+def test_kv_cache_rejects_new_rows_of_another_shape():
+    cfg = tiny_config()
+    cache = M.KVCache(cfg)
+    kv = np.zeros((3, cfg.n_kv_heads, 2, cfg.head_dim), dtype=np.float32)
+    cache.extend(0, kv, kv)
+    cache.advance(2)
+    with pytest.raises(CacheError, match="takes"):
+        cache.extend(0, kv[:1, :, :1], kv[:1, :, :1])      # one row into a 3-row cache
+    with pytest.raises(CacheError, match="takes"):
+        cache.extend(0, kv[:, :, :1], kv[:, :, :2])
+
+
 def test_kv_cache_rejects_training_graph():
     cfg = tiny_config()
     params = M.init_params(cfg, seed=9)

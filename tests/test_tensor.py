@@ -63,6 +63,27 @@ def test_rmsnorm_hand_value():
     assert np.allclose(y.data, [0.84852814, 1.13137085], atol=1e-6)
 
 
+def rmsnorm_parent_formula(x, scale, eps):
+    """The rmsnorm forward before its mean lost the np.mean wrapper."""
+    r = 1.0 / np.sqrt(np.mean(x * x, axis=-1, keepdims=True) + eps)
+    return x * r * scale
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("width", [1, 2, 16, 64, 65, 1000])
+def test_rmsnorm_mean_and_output_bytes_equal_np_mean(dtype, width):
+    """1e-20 squares to a subnormal in float32 (and to 0 in some rows)."""
+    rng = np.random.default_rng(width)
+    for row_scale in (1e-20, 1e-3, 1.0, 1e3):
+        x = (rng.normal(size=(7, width)) * row_scale).astype(dtype)
+        want = np.mean(x * x, axis=-1, keepdims=True)
+        got = T._mean_square(x)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), row_scale
+        scale = rng.normal(size=width).astype(dtype)
+        y = T.rmsnorm(T.Tensor(x), T.Tensor(scale), 1e-6).data
+        assert y.tobytes() == rmsnorm_parent_formula(x, scale, 1e-6).tobytes(), row_scale
+
+
 def test_grad_check_quadratic():
     x = t64([1.0, 2.0])
     report = fd_check(lambda: T.tsum(T.mul(x, x)), [("x", x)], tol=1e-8)
